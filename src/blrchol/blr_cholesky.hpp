@@ -29,12 +29,13 @@ struct BLRCholOptions {
 /// triangular, off-diagonal tiles low-rank).
 class BLRCholesky {
  public:
-  /// Factorize in a copy of `a`; throws if a diagonal tile loses positive
-  /// definiteness.
+  /// Factorize in a copy of `a` by running the tile DAG
+  /// (emit_blr_cholesky_dag) in insertion order; throws if a diagonal tile
+  /// loses positive definiteness.
   static BLRCholesky factorize(const BLRMatrix& a, const BLRCholOptions& opts = {});
 
-  /// Wrap an already-factorized BLR matrix (the task-based path: run the
-  /// DAG from emit_blr_cholesky_dag, then adopt its state).
+  /// Wrap an already-factorized BLR matrix (run the DAG from
+  /// emit_blr_cholesky_dag, then adopt its state).
   static BLRCholesky adopt(BLRMatrix factored) {
     BLRCholesky out;
     out.l_ = std::move(factored);

@@ -7,6 +7,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
+#include "runtime/dag_dataflow.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace hatrix::fmt {
@@ -121,8 +122,7 @@ HSSMatrix build_hss(const BlockAccessor& acc, const HSSOptions& opts) {
   // exact same matrix — as the parallel executors.
   rt::TaskGraph graph;
   HSSBuildDag dag = emit_hss_build_dag(acc, opts, graph);
-  for (const auto& t : graph.tasks())
-    if (t.work) t.work();
+  rt::run_in_order(graph);
   HSSMatrix h = extract_built_hss(dag);
   // Construction is pure FP64 regardless of precision mode (executor
   // bit-identity); the one-shot demotion happens on the settled matrix.

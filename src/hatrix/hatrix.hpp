@@ -5,11 +5,13 @@
 /// Typical flow:
 ///   1. geometry  -> geom::grid2d / circle2d / random2d + geom::ClusterTree
 ///   2. operator  -> kernels::make_kernel + kernels::KernelMatrix
-///   3. compress  -> fmt::build_hss (or build_blr2 / build_blr / build_hodlr)
-///   4. factorize -> ulv::HSSULV::factorize (O(N))
+///   3. compress  -> fmt::build_hss (or build_blr2 / build_blr)
+///   4. factorize -> ulv::HSSULV::factorize (O(N)): the factorization DAG
+///                   run in insertion order on the calling thread
 ///   5. solve     -> factor.solve(b) / solve_refined(b)
 ///
-/// Parallel execution: ulv::emit_hss_ulv_dag + rt::ThreadPoolExecutor.
+/// Parallel execution: the same DAG, ulv::emit_hss_ulv_dag, run on
+/// rt::ThreadPoolExecutor.
 /// Distributed what-if studies: driver::run_simulated (see DESIGN.md).
 
 #include "blrchol/blr_cholesky.hpp"
@@ -28,7 +30,6 @@
 #include "format/blr.hpp"
 #include "format/blr2.hpp"
 #include "format/blr2_strong.hpp"
-#include "format/hodlr.hpp"
 #include "format/hss.hpp"
 #include "format/hss_builder.hpp"
 #include "geometry/cluster_tree.hpp"
@@ -39,7 +40,6 @@
 #include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"

@@ -75,6 +75,18 @@ ReleasePlan release_plan(const TaskGraph& graph) {
   return plan;
 }
 
+void run_in_order(const TaskGraph& graph) {
+  const ReleaseHook& hook = graph.release_hook();
+  const ReleasePlan plan = hook ? release_plan(graph) : ReleasePlan{};
+  std::vector<int> remaining(plan.initial_uses);
+  for (std::size_t t = 0; t < graph.tasks().size(); ++t) {
+    if (graph.tasks()[t].work) graph.tasks()[t].work();
+    if (!hook) continue;
+    for (DataId d : plan.task_data[t])
+      if (--remaining[static_cast<std::size_t>(d)] == 0) hook(d);
+  }
+}
+
 DagDataflowReport analyze_dag(const TaskGraph& graph) {
   const auto n = static_cast<std::size_t>(graph.num_tasks());
   const auto nd = graph.data().size();

@@ -136,6 +136,14 @@ DagDataflowReport analyze_dag(const TaskGraph& graph);
 /// whether or not full analysis is enabled.
 ReleasePlan release_plan(const TaskGraph& graph);
 
+/// The sequential runner: run every task body on the calling thread in
+/// insertion order, which DTD insertion makes a valid topological order.
+/// When the graph carries a release hook, the release schedule is consumed
+/// exactly as the executors do — the hook fires once per handle, right after
+/// its last accessor's body. The graph is neither verified nor analyzed. An
+/// exception from a task body propagates unchanged and no later task runs.
+void run_in_order(const TaskGraph& graph);
+
 /// Per-rank footprint and cross-rank traffic of `graph` under the mapping
 /// `task_owner` (one rank id per task, e.g. distsim::Mapping::task_owner).
 /// Traffic walks the last-writer chain exactly like the simulator's

@@ -3,6 +3,8 @@
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "runtime/dag_dataflow.hpp"
+#include "ulv/blr2_ulv_tasks.hpp"
 
 namespace hatrix::ulv {
 
@@ -17,46 +19,10 @@ BLR2ULV::BLR2ULV(const fmt::BLR2Matrix& a, std::vector<NodeFactor> factors,
 }
 
 BLR2ULV BLR2ULV::factorize(const fmt::BLR2Matrix& a) {
-  BLR2ULV out;
-  out.a_ = &a;
-  const index_t p = a.num_blocks();
-  out.factors_.resize(static_cast<std::size_t>(p));
-  out.skel_offset_.assign(static_cast<std::size_t>(p) + 1, 0);
-
-  // Per-block diagonal product + partial factorization (lines 1-2 of Alg. 1).
-  // F64Block promotes FP32-demoted bases/couplings for the FP64 kernels.
-  std::vector<Matrix> schur(static_cast<std::size_t>(p));
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    auto res = partial_factor(nd.diag.view(), la::F64Block(nd.basis).view());
-    out.factors_[static_cast<std::size_t>(i)] = std::move(res.factor);
-    schur[static_cast<std::size_t>(i)] = std::move(res.ss_schur);
-    out.skel_offset_[static_cast<std::size_t>(i) + 1] =
-        out.skel_offset_[static_cast<std::size_t>(i)] + nd.rank;
-  }
-
-  // Merge (permute) all skeleton blocks into one dense matrix (line 3,
-  // Fig. 4) and Cholesky-factorize it.
-  const index_t total = out.skel_offset_[static_cast<std::size_t>(p)];
-  Matrix merged(total, total);
-  for (index_t i = 0; i < p; ++i) {
-    const index_t oi = out.skel_offset_[static_cast<std::size_t>(i)];
-    const index_t ki = a.node(i).rank;
-    if (ki > 0)
-      la::copy(schur[static_cast<std::size_t>(i)].view(), merged.block(oi, oi, ki, ki));
-    for (index_t j = 0; j < i; ++j) {
-      const index_t oj = out.skel_offset_[static_cast<std::size_t>(j)];
-      const index_t kj = a.node(j).rank;
-      if (ki == 0 || kj == 0) continue;
-      la::F64Block sb(a.coupling(i, j));
-      la::copy(sb.view(), merged.block(oi, oj, ki, kj));
-      Matrix st = la::transpose(sb.view());
-      la::copy(st.view(), merged.block(oj, oi, kj, ki));
-    }
-  }
-  la::potrf(merged.view());
-  out.merged_l_ = std::move(merged);
-  return out;
+  rt::TaskGraph graph;
+  const BLR2ULVDag dag = emit_blr2_ulv_dag(a, graph, /*with_work=*/true);
+  rt::run_in_order(graph);
+  return extract_blr2_factorization(dag);
 }
 
 std::vector<double> BLR2ULV::solve(const std::vector<double>& b) const {

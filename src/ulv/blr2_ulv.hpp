@@ -25,11 +25,12 @@ class BLR2ULV {
  public:
   BLR2ULV() = default;
 
-  /// Assemble from externally computed pieces (the task-based path).
+  /// Assemble from externally computed pieces (extract_blr2_factorization).
   BLR2ULV(const fmt::BLR2Matrix& a, std::vector<NodeFactor> factors,
           Matrix merged_l);
 
-  /// Factorize; throws hatrix::Error if not positive definite.
+  /// Factorize by running the Alg. 1 DAG (emit_blr2_ulv_dag) in insertion
+  /// order; throws hatrix::Error if not positive definite.
   static BLR2ULV factorize(const fmt::BLR2Matrix& a);
 
   /// Solve A x = b (Eq. 15).

@@ -6,81 +6,18 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/norms.hpp"
+#include "ulv/hss_ulv_tasks.hpp"
 
 namespace hatrix::ulv {
 
-namespace {
-
-/// Assemble a parent's dense diagonal from its children's skeleton Schur
-/// complements and the sibling coupling (the Merge step, line 4 of Alg. 2):
-///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]  with S = coupling between (2t+1, 2t).
-/// The coupling arrives as an FP64 view (callers promote demoted storage
-/// through la::F64Block).
-Matrix merge_diag(const Matrix& ss0, const Matrix& ss1,
-                  la::ConstMatrixView s_lower) {
-  const index_t k0 = ss0.rows(), k1 = ss1.rows();
-  HATRIX_CHECK(s_lower.rows == k1 && s_lower.cols == k0,
-               "merge: coupling shape mismatch");
-  Matrix d(k0 + k1, k0 + k1);
-  if (k0 > 0) la::copy(ss0.view(), d.block(0, 0, k0, k0));
-  if (k1 > 0) la::copy(ss1.view(), d.block(k0, k0, k1, k1));
-  if (k0 > 0 && k1 > 0) {
-    la::copy(s_lower, d.block(k0, 0, k1, k0));
-    Matrix st = la::transpose(s_lower);
-    la::copy(st.view(), d.block(0, k0, k0, k1));
-  }
-  return d;
-}
-
-}  // namespace
-
 HSSULV HSSULV::factorize(const fmt::HSSMatrix& a) {
-  HSSULV out;
-  out.a_ = &a;
-  const int L = a.max_level();
-  out.factors_.resize(static_cast<std::size_t>(L) + 1);
-
-  if (L == 0) {
-    // Degenerate single-block HSS: plain dense Cholesky.
-    out.root_l_ = Matrix::from_view(a.node(0, 0).diag.view());
-    la::potrf(out.root_l_.view());
-    return out;
-  }
-
-  // Working diagonals for the current level; leaf diagonals to start.
-  std::vector<Matrix> diags(static_cast<std::size_t>(a.num_nodes(L)));
-  for (index_t i = 0; i < a.num_nodes(L); ++i)
-    diags[static_cast<std::size_t>(i)] =
-        Matrix::from_view(a.node(L, i).diag.view());
-
-  for (int l = L; l >= 1; --l) {
-    auto& level_factors = out.factors_[static_cast<std::size_t>(l)];
-    level_factors.resize(static_cast<std::size_t>(a.num_nodes(l)));
-    std::vector<Matrix> schur(static_cast<std::size_t>(a.num_nodes(l)));
-
-    // Diagonal product + partial factorization: independent per node.
-    // F64Block promotes FP32-demoted bases/couplings for the kernels.
-    for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      auto res = partial_factor(diags[static_cast<std::size_t>(i)].view(),
-                                la::F64Block(a.node(l, i).basis).view());
-      level_factors[static_cast<std::size_t>(i)] = std::move(res.factor);
-      schur[static_cast<std::size_t>(i)] = std::move(res.ss_schur);
-    }
-
-    // Merge into the parent level (or into the root block).
-    std::vector<Matrix> parent_diags(static_cast<std::size_t>(a.num_nodes(l - 1)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      parent_diags[static_cast<std::size_t>(t)] =
-          merge_diag(schur[static_cast<std::size_t>(2 * t)],
-                     schur[static_cast<std::size_t>(2 * t + 1)],
-                     la::F64Block(a.coupling(l, t)).view());
-    }
-    diags = std::move(parent_diags);
-  }
-
-  out.root_l_ = std::move(diags[0]);
-  la::potrf(out.root_l_.view());
-  return out;
+  // The factorization DAG run in insertion order: the same per-node task
+  // bodies the executors run, with working blocks freed at their last use.
+  rt::TaskGraph graph;
+  const HSSULVDag dag =
+      emit_hss_ulv_dag(a, graph, /*with_work=*/true, rt::ReleaseMode::Free);
+  rt::run_in_order(graph);
+  return extract_factorization(dag);
 }
 
 std::vector<double> HSSULV::solve(const std::vector<double>& b) const {

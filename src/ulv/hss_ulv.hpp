@@ -29,14 +29,17 @@ class HSSULV {
  public:
   HSSULV() = default;
 
-  /// Assemble a factorization from externally computed pieces — used by the
-  /// task-based factorization (hss_ulv_tasks) after the runtime has executed
-  /// the DAG. `factors[level][node]`; `root_l` is the Cholesky factor of A_0.
+  /// Assemble a factorization from externally computed pieces — used by
+  /// extract_factorization (hss_ulv_tasks) after the factorization DAG has
+  /// run. `factors[level][node]`; `root_l` is the Cholesky factor of A_0.
   HSSULV(const fmt::HSSMatrix& a, std::vector<std::vector<NodeFactor>> factors,
          Matrix root_l)
       : a_(&a), factors_(std::move(factors)), root_l_(std::move(root_l)) {}
 
-  /// Factorize a symmetric positive definite HSS matrix. Throws
+  /// Factorize a symmetric positive definite HSS matrix: emits the
+  /// factorization DAG (emit_hss_ulv_dag, ReleaseMode::Free) and runs it in
+  /// insertion order on the calling thread (rt::run_in_order), so the result
+  /// is bit-identical to running the same DAG on any executor. Throws
   /// hatrix::Error if a pivot fails (matrix not SPD on the compressed
   /// representation).
   static HSSULV factorize(const fmt::HSSMatrix& a);

@@ -11,11 +11,16 @@ namespace hatrix::ulv {
 
 namespace {
 
-// The coupling arrives as an FP64 view: callers promote FP32-demoted
-// storage through la::F64Block (mixed-precision mode).
+/// Assemble a parent's dense diagonal from its children's skeleton Schur
+/// complements and the sibling coupling (the Merge step, line 4 of Alg. 2):
+///   D_p = [ SS_0  Sᵀ ; S  SS_1 ]  with S = coupling between (2t+1, 2t).
+/// The coupling arrives as an FP64 view: callers promote FP32-demoted
+/// storage through la::F64Block (mixed-precision mode).
 Matrix merge_diag(const Matrix& ss0, const Matrix& ss1,
                   la::ConstMatrixView s_lower) {
   const index_t k0 = ss0.rows(), k1 = ss1.rows();
+  HATRIX_CHECK(s_lower.rows == k1 && s_lower.cols == k0,
+               "merge: coupling shape mismatch");
   Matrix d(k0 + k1, k0 + k1);
   if (k0 > 0) la::copy(ss0.view(), d.block(0, 0, k0, k0));
   if (k1 > 0) la::copy(ss1.view(), d.block(k0, k0, k1, k1));

@@ -63,8 +63,8 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
                            bool with_work,
                            rt::ReleaseMode release = rt::ReleaseMode::None);
 
-/// After an executor ran the with-work DAG, package the computed pieces into
-/// the same HSSULV object the sequential path produces.
+/// After the with-work DAG ran (on an executor or through rt::run_in_order,
+/// as HSSULV::factorize does), package the computed pieces into an HSSULV.
 HSSULV extract_factorization(const HSSULVDag& dag);
 
 }  // namespace hatrix::ulv

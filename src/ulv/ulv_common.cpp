@@ -61,13 +61,6 @@ PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t 
   return out;
 }
 
-PartialFactorResult partial_factor(la::ConstMatrixView diag,
-                                   la::ConstMatrixView basis) {
-  DiagProductResult rot = diag_product(diag, basis);
-  return partial_factor_rotated(rot.rotated.view(), basis.cols,
-                                std::move(rot.q_comp));
-}
-
 NodeForward forward_step(const NodeFactor& f, la::ConstMatrixView basis,
                          const double* b_local) {
   NodeForward fw;

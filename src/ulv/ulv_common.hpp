@@ -31,8 +31,8 @@ struct NodeFactor {
   index_t k = 0;
 };
 
-/// Result of the per-node "diagonal product + partial factorization":
-/// the factor plus the skeleton Schur complement passed to the parent.
+/// Result of the per-node "Partial Factorization" step: the factor plus the
+/// skeleton Schur complement passed to the parent.
 struct PartialFactorResult {
   NodeFactor factor;
   Matrix ss_schur;  ///< k x k
@@ -55,10 +55,6 @@ DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView bas
 /// and the SS Schur complement. Throws if RR is not positive definite.
 PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
                                            Matrix q_comp);
-
-/// Both steps fused (the sequential path).
-PartialFactorResult partial_factor(la::ConstMatrixView diag,
-                                   la::ConstMatrixView basis);
 
 /// Forward-solve bookkeeping for one node: rotated RHS pieces.
 struct NodeForward {

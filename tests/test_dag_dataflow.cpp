@@ -4,8 +4,9 @@
 // handles), lifetime intervals and the last-use release schedule, the exact
 // serial peak and the any-schedule peak bound, per-rank footprint/traffic
 // against distsim::count_messages, the analyze-before-run executor mode, the
-// release hook firing exactly once per handle on all three executors, and
-// the regression proving seeded annotation bugs in the real N=8192 HSS
+// release hook firing exactly once per handle on all three executors and
+// right after the last accessor in the sequential runner (rt::run_in_order),
+// and the regression proving seeded annotation bugs in the real N=8192 HSS
 // builder DAG are flagged with the exact task and resource names.
 #include <gtest/gtest.h>
 
@@ -311,6 +312,76 @@ TEST(DagDataflow, ReleaseHookFiresExactlyOncePerHandleOnAllExecutors) {
     EXPECT_EQ((*fires)[static_cast<std::size_t>(mid)].load(), 1) << which;
     EXPECT_EQ((*fires)[static_cast<std::size_t>(out)].load(), 0) << which;
   }
+}
+
+// ------------------------------------------------------- sequential runner
+
+TEST(DagDataflow, RunInOrderReleasesEachHandleAfterItsLastAccessor) {
+  rt::TaskGraph g;
+  auto in = g.register_data("in", 8);
+  auto mid = g.register_data("mid", 8);
+  auto out = g.register_data("out", 8);
+  g.register_data("untouched", 8);  // no accessor: never released
+  g.mark_input(in);
+  g.mark_output(out);
+  std::vector<std::string> log;
+  auto body = [&log](std::string name) {
+    return [&log, name] { log.push_back(name); };
+  };
+  g.insert_task("A", "noop", {}, body("A"),
+                {{in, rt::Access::Read}, {mid, rt::Access::Write}});
+  // R0 declares mid twice: it still counts as one accessor.
+  g.insert_task("R0", "noop", {}, body("R0"),
+                {{mid, rt::Access::Read}, {mid, rt::Access::Read}});
+  g.insert_task("R1", "noop", {}, body("R1"), {{mid, rt::Access::Read}});
+  g.insert_task("Z", "noop", {}, body("Z"),
+                {{mid, rt::Access::Read}, {out, rt::Access::Write}});
+  g.set_release_hook(
+      [&log, &g](rt::DataId d) { log.push_back("free " + g.data(d).name); });
+
+  rt::run_in_order(g);
+  EXPECT_EQ(log, (std::vector<std::string>{"A", "free in", "R0", "R1", "Z",
+                                           "free mid"}));
+}
+
+TEST(DagDataflow, RunInOrderNeitherVerifiesNorAnalyzes) {
+  // A pure read of a never-written, non-input handle is a use-before-def
+  // the analyzer rejects; the sequential runner just runs the body, even
+  // when HATRIX_ANALYZE_DAG / HATRIX_VERIFY_DAG are set in the environment.
+  rt::TaskGraph g;
+  auto d = g.register_data("blk", 64);
+  int runs = 0;
+  g.insert_task("READER", "noop", {}, [&runs] { ++runs; }, {{d, rt::Access::Read}});
+  EXPECT_NO_THROW(rt::run_in_order(g));
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(DagDataflow, RunInOrderPropagatesTaskErrorAndStops) {
+  struct Boom {
+    int code;
+  };
+  rt::TaskGraph g;
+  auto a = g.register_data("a", 8);
+  auto b = g.register_data("b", 8);
+  std::vector<std::string> log;
+  g.insert_task("T0", "noop", {}, [&log] { log.push_back("T0"); },
+                {{a, rt::Access::Write}});
+  g.insert_task("T1", "noop", {}, [] { throw Boom{42}; },
+                {{a, rt::Access::Read}, {b, rt::Access::Write}});
+  g.insert_task("T2", "noop", {}, [&log] { log.push_back("T2"); },
+                {{b, rt::Access::Read}});
+  g.set_release_hook(
+      [&log, &g](rt::DataId d) { log.push_back("free " + g.data(d).name); });
+
+  int code = 0;
+  try {
+    rt::run_in_order(g);
+  } catch (const Boom& e) {
+    code = e.code;
+  }
+  EXPECT_EQ(code, 42);
+  // T1 never completed, so neither its handles nor T2 were reached.
+  EXPECT_EQ(log, std::vector<std::string>{"T0"});
 }
 
 // ------------------------------------------------- production DAGs run clean

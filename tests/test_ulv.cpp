@@ -245,7 +245,8 @@ TEST(UlvCommon, PartialFactorReconstructs) {
   Matrix d = Matrix::random_spd(rng, m);
   Matrix g = Matrix::random_normal(rng, m, k);
   auto qr_g = la::qr(g.view());
-  auto res = partial_factor(d.view(), qr_g.q.view());
+  auto rot = diag_product(d.view(), qr_g.q.view());
+  auto res = partial_factor_rotated(rot.rotated.view(), k, std::move(rot.q_comp));
   const auto& f = res.factor;
 
   Matrix rr = la::matmul(f.l_rr.view(), f.l_rr.view(), la::Trans::No, la::Trans::Yes);
