@@ -33,6 +33,7 @@ struct Case {
   double seconds_per_iter = 0.0;
   std::int64_t iterations = 0;
   double gflops = 0.0;  ///< 0 when no flop count applies
+  std::string shape;    ///< operand shape when `n` alone does not give it
 };
 
 /// Run `body` repeatedly until `min_time` seconds have accumulated (at least
@@ -154,11 +155,38 @@ int main(int argc, char** argv) {
     }));
   }
 
-  for (la::index_t n : {128, 256}) {
+  // The QR family at the pipeline's shapes (leaf 256, rank 80, 512
+  // samples): `qr` orthonormalizes a leaf's (256 x 80) and a merged node's
+  // (160 x 80) interpolation factor, `orth_complement` is the ULV
+  // diag_product's complement of a 256 x 80 basis, and `pivoted_qr` is the
+  // row ID of a 512 x 256 sample block truncated at rank 80. Rates use the
+  // nominal Householder counts (k reflectors on an r x c block:
+  // 4rck - 2(r + c)k^2 + 4k^3/3, plus forming Q where one is returned).
+  for (la::index_t m : {256, 160}) {
+    const double k = 80.0, md = static_cast<double>(m);
     Rng rng(4);
-    Matrix a = Matrix::random_normal(rng, n, 4 * n);
-    cases.push_back(timed("pivoted_qr", n, 0.0, min_time,
-                          [&] { auto f = la::pivoted_qr(a.view(), n / 4, 0.0); }));
+    Matrix a = Matrix::random_normal(rng, m, 80);
+    cases.push_back(timed("qr", m, 4 * md * k * k - 4 * k * k * k / 3, min_time,
+                          [&] { auto f = la::qr(a.view()); }));
+    cases.back().shape = std::to_string(m) + "x80";
+  }
+  {
+    const double m = 256.0, k = 80.0;
+    Rng rng(11);
+    Matrix u = la::qr(Matrix::random_normal(rng, 256, 80).view()).q;
+    cases.push_back(timed("orth_complement", 256,
+                          2 * m * k * k - 2 * k * k * k / 3 + 4 * m * k * (m - k),
+                          min_time, [&] { Matrix c = la::orth_complement(u.view()); }));
+    cases.back().shape = "256x80";
+  }
+  {
+    const double s = 512.0, m = 256.0, k = 80.0;
+    Rng rng(12);
+    Matrix a = Matrix::random_normal(rng, 512, 256);
+    cases.push_back(timed("pivoted_qr", 256,
+                          4 * s * m * k - 2 * (s + m) * k * k + 4 * k * k * k / 3,
+                          min_time, [&] { auto f = la::pivoted_qr(a.view(), 80, 0.0); }));
+    cases.back().shape = "512x256 k=80";
   }
 
   for (la::index_t n : {32, 64, 128}) {
@@ -184,12 +212,13 @@ int main(int argc, char** argv) {
                    fmt_fixed(c.seconds_per_iter * 1e6, 1),
                    std::to_string(c.iterations),
                    c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-"});
-    json.row()
-        .add("kernel", c.name)
-        .add("n", static_cast<std::int64_t>(c.n))
-        .add("seconds_per_iter", c.seconds_per_iter)
-        .add("iterations", c.iterations)
-        .add("gflops", c.gflops);
+    auto& row = json.row()
+                    .add("kernel", c.name)
+                    .add("n", static_cast<std::int64_t>(c.n))
+                    .add("seconds_per_iter", c.seconds_per_iter)
+                    .add("iterations", c.iterations)
+                    .add("gflops", c.gflops);
+    if (!c.shape.empty()) row.add("shape", c.shape);
   }
   std::printf("%s\n", csv ? table.to_csv().c_str() : table.to_string().c_str());
   if (!json_path.empty()) {

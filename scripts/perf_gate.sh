@@ -5,11 +5,14 @@
 # against the committed baseline BENCH_linalg.json. A case fails when its
 # fresh GFLOP/s drops more than PERF_GATE_TOL (default 35% — micro-bench
 # noise on a shared machine is real, a kernel regression is much larger)
-# below the committed number. Independently of the relative check, the
-# flagship case carries a hard floor: gemm n=256 must sustain at least
-# 6.83 GFLOP/s (2x the pre-blocking 3.41 baseline), so the tuned kernels
-# can never silently fall back to naive-era rates even if someone commits
-# a slower baseline file.
+# below the committed number. Independently of the relative check, two
+# cases carry hard floors, so the tuned kernels can never silently fall
+# back to their old rates even if someone commits a slower baseline file:
+#   - gemm n=256 must sustain 6.83 GFLOP/s (2x the pre-blocking naive
+#     gemm's 3.41);
+#   - orth_complement n=256 (a 256 x 80 basis) must sustain 4.44 GFLOP/s
+#     (2x the 2.22 of the level-2, reflector-by-reflector Householder code
+#     it replaced), so the QR family cannot fall back to level-2 speed.
 #
 #   scripts/perf_gate.sh [build-dir]      (default: build)
 #
@@ -50,11 +53,11 @@ def load(path):
 
 fresh, base = load(fresh_path), load(base_path)
 
-# Hard floor, independent of the baseline file's contents.
-FLOORS = {("gemm", 256): 6.83}
+# Hard floors, independent of the baseline file's contents.
+FLOORS = {("gemm", 256): 6.83, ("orth_complement", 256): 4.44}
 
 failures = []
-print(f"{'kernel':<12} {'n':>5} {'baseline':>9} {'fresh':>9} {'ratio':>6}")
+print(f"{'kernel':<16} {'n':>5} {'baseline':>9} {'fresh':>9} {'ratio':>6}")
 for key in sorted(base):
     if key not in fresh:
         failures.append(f"{key[0]} n={key[1]}: case missing from fresh run")
@@ -66,7 +69,7 @@ for key in sorted(base):
             f"{key[0]} n={key[1]}: {fresh[key]:.2f} GFLOP/s is "
             f"{100 * (1 - ratio):.0f}% below baseline {base[key]:.2f}")
         flag = "  <-- REGRESSION"
-    print(f"{key[0]:<12} {key[1]:>5} {base[key]:>9.2f} {fresh[key]:>9.2f} {ratio:>6.2f}{flag}")
+    print(f"{key[0]:<16} {key[1]:>5} {base[key]:>9.2f} {fresh[key]:>9.2f} {ratio:>6.2f}{flag}")
 
 for key, floor in FLOORS.items():
     got = fresh.get(key, 0.0)
@@ -78,5 +81,6 @@ if failures:
     for f in failures:
         print(f"  {f}", file=sys.stderr)
     sys.exit(1)
-print(f"\nperf_gate OK (tolerance {100 * tol:.0f}%, floor gemm n=256 >= 6.83 GFLOP/s)")
+floors = ", ".join(f"{k} n={n} >= {v} GFLOP/s" for (k, n), v in FLOORS.items())
+print(f"\nperf_gate OK (tolerance {100 * tol:.0f}%, floors {floors})")
 PYEOF

@@ -150,7 +150,7 @@ BLR2Matrix build_blr2(const BlockAccessor& acc, const HSSOptions& opts) {
     Matrix f = acc.gather(rows, cols);
     const double abs_tol = opts.tol > 0.0 ? opts.tol * la::norm_fro(f.view()) : 0.0;
     auto pq = la::pivoted_qr(f.view(), opts.max_rank, abs_tol);
-    nd.basis = std::move(pq.q);
+    nd.basis = pq.q();
     nd.rank = pq.rank;
   }
 

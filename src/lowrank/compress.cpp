@@ -18,7 +18,7 @@ LowRank compress(la::ConstMatrixView a, index_t max_rank, double tol) {
     const index_t orig = f.perm[static_cast<std::size_t>(j)];
     for (index_t i = 0; i < f.rank; ++i) v(orig, i) = f.r(i, j);
   }
-  return LowRank(std::move(f.q), std::move(v));
+  return LowRank(f.q(), std::move(v));
 }
 
 LowRank truncated_svd(la::ConstMatrixView a, index_t max_rank, double tol) {

@@ -44,6 +44,29 @@ TEST(EdgeLinalg, OrthComplementOfNothingIsIdentity) {
   EXPECT_LT(la::rel_error(Matrix::identity(4).view(), c.view()), 1e-15);
 }
 
+TEST(EdgeLinalg, QrOfTinyAndHugeEntriesStaysFinite) {
+  // Squaring entries of magnitude 1e-170 underflows to 0 and of 1e170
+  // overflows to inf; the reflector must rescale instead of producing
+  // NaN or an infinite R.
+  Rng rng(602);
+  const Matrix b = Matrix::random_normal(rng, 4, 2);
+  for (double s : {1e-170, 1e170}) {
+    Matrix a = Matrix::from_view(b.view());
+    la::scale(a.view(), s);
+    auto f = la::qr(a.view());
+    Matrix r_unscaled = Matrix::from_view(f.r.view());
+    la::scale(r_unscaled.view(), 1.0 / s);
+    for (index_t j = 0; j < 2; ++j)
+      for (index_t i = 0; i < 4; ++i) ASSERT_TRUE(std::isfinite(f.q(i, j))) << s;
+    for (index_t i = 0; i < 2; ++i) ASSERT_TRUE(std::isfinite(f.r(i, i))) << s;
+    Matrix qtq = la::matmul(f.q.view(), f.q.view(), la::Trans::Yes, la::Trans::No);
+    EXPECT_LT(la::rel_error(Matrix::identity(2).view(), qtq.view()), 1e-14) << s;
+    // ‖A − QR‖/‖A‖, evaluated on A/s so the norms themselves stay in range.
+    Matrix qr = la::matmul(f.q.view(), r_unscaled.view());
+    EXPECT_LT(la::rel_error(b.view(), qr.view()), 1e-14) << s;
+  }
+}
+
 TEST(EdgeLowRank, ZeroRankBlockBehaves) {
   lr::LowRank z(Matrix(5, 0), Matrix(3, 0));
   EXPECT_EQ(z.rank(), 0);

@@ -25,6 +25,8 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/norms.hpp"
+#include "linalg/qr.hpp"
 
 namespace hatrix {
 namespace {
@@ -415,6 +417,156 @@ TEST(LinalgConformance, PotrfThrowsOnIndefinite) {
     a(1, 1) = -1.0;  // negative pivot
     a(2, 2) = 1.0;
     EXPECT_THROW(la::potrf(a.view()), Error) << ctx(be, "potrf indefinite");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Householder QR family: the blocked compact-WY core against the unblocked
+// reference. Both apply the same reflectors, so they agree up to rounding;
+// the comparison still allows a sign flip per column of Q (row of R).
+
+/// ‖QᵀQ − I‖_F for a matrix with orthonormal columns.
+double orthogonality_error(ConstMatrixView q) {
+  Matrix qtq(q.cols, q.cols);
+  la::ref::gemm(1.0, q, Trans::Yes, q, Trans::No, 0.0, qtq.view());
+  for (index_t i = 0; i < q.cols; ++i) qtq(i, i) -= 1.0;
+  return la::norm_fro(qtq.view());
+}
+
+/// ‖A − Q·R‖_F.
+double factorization_error(ConstMatrixView a, ConstMatrixView q, ConstMatrixView r) {
+  Matrix res = Matrix::from_view(a);
+  la::ref::gemm(-1.0, q, Trans::No, r, Trans::No, 1.0, res.view());
+  return la::norm_fro(res.view());
+}
+
+/// max |got − ref| after flipping each column of `got` to the sign of the
+/// matching reference column (its largest-magnitude entry decides).
+double max_diff_up_to_column_signs(ConstMatrixView got, ConstMatrixView ref) {
+  EXPECT_EQ(got.rows, ref.rows);
+  EXPECT_EQ(got.cols, ref.cols);
+  double d = 0.0;
+  for (index_t j = 0; j < ref.cols; ++j) {
+    index_t imax = 0;
+    for (index_t i = 1; i < ref.rows; ++i)
+      if (std::abs(ref(i, j)) > std::abs(ref(imax, j))) imax = i;
+    const double sign = ref.rows > 0 && got(imax, j) * ref(imax, j) < 0.0 ? -1.0 : 1.0;
+    for (index_t i = 0; i < ref.rows; ++i)
+      d = std::max(d, std::abs(sign * got(i, j) - ref(i, j)));
+  }
+  return d;
+}
+
+void expect_qr_conforms(ConstMatrixView a, const std::string& what) {
+  const index_t m = a.rows, n = a.cols, k = std::min(m, n);
+  const auto got = la::qr(a);
+  const auto ref = la::ref::qr(a);
+  ASSERT_EQ(got.q.rows(), m) << what;
+  ASSERT_EQ(got.q.cols(), k) << what;
+  ASSERT_EQ(got.r.rows(), k) << what;
+  ASSERT_EQ(got.r.cols(), n) << what;
+  const double anorm = la::norm_fro(a);
+  EXPECT_LE(orthogonality_error(got.q.view()), 10.0 * static_cast<double>(m) * kEps64)
+      << what;
+  EXPECT_LE(factorization_error(a, got.q.view(), got.r.view()), 10.0 * kEps64 * anorm)
+      << what;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = j + 1; i < k; ++i) EXPECT_EQ(got.r(i, j), 0.0) << what;
+  EXPECT_LE(max_diff_up_to_column_signs(got.q.view(), ref.q.view()),
+            tolerance(m, 1.0, kEps64))
+      << what << ": Q vs ref";
+  const Matrix rt_got = la::transpose(got.r.view()), rt_ref = la::transpose(ref.r.view());
+  EXPECT_LE(max_diff_up_to_column_signs(rt_got.view(), rt_ref.view()),
+            tolerance(m, max_abs(a), kEps64))
+      << what << ": R vs ref";
+}
+
+TEST(LinalgConformance, QrBlockedMatchesReference) {
+  // k = min(m, n) on both sides of the 32-column panel and of one WY
+  // block, plus wide (m < n) and square inputs.
+  const std::vector<std::pair<index_t, index_t>> shapes = {
+      {5, 0},   {7, 1},    {40, 31},  {64, 32},  {50, 33},  {256, 80},
+      {160, 80}, {97, 97}, {120, 97}, {20, 50}, {33, 120}, {80, 200}};
+  Rng rng(40);
+  for (Backend be : backends_under_test()) {
+    BackendGuard guard(be);
+    for (auto [m, n] : shapes) {
+      const Matrix a = random_matrix(m, n, rng);
+      expect_qr_conforms(a.view(), ctx(be, "qr " + std::to_string(m) + "x" +
+                                               std::to_string(n)));
+    }
+  }
+}
+
+TEST(LinalgConformance, QrRankDeficientZeroColumnsInsideWyBlocks) {
+  // Zero columns give tau = 0 reflectors (H = I) in the first, second and
+  // last panel; T must carry a zero row and column for each.
+  Rng rng(41);
+  for (Backend be : backends_under_test()) {
+    BackendGuard guard(be);
+    Matrix a = random_matrix(100, 75, rng);
+    for (index_t j : {0, 5, 6, 31, 40, 63, 64, 74})
+      for (index_t i = 0; i < a.rows(); ++i) a(i, j) = 0.0;
+    expect_qr_conforms(a.view(), ctx(be, "qr zero columns"));
+    const auto f = la::qr(a.view());
+    for (index_t j : {0, 5, 6, 31, 40, 63, 64, 74}) EXPECT_EQ(f.r(j, j), 0.0);
+  }
+}
+
+TEST(LinalgConformance, OrthComplementBlockedMatchesReference) {
+  const std::vector<std::pair<index_t, index_t>> shapes = {
+      {64, 0},  {64, 64}, {40, 1},   {100, 31}, {100, 32},
+      {100, 33}, {256, 80}, {160, 80}, {200, 97}};
+  Rng rng(42);
+  for (Backend be : backends_under_test()) {
+    BackendGuard guard(be);
+    for (auto [m, k] : shapes) {
+      const std::string what =
+          ctx(be, "orth_complement " + std::to_string(m) + "x" + std::to_string(k));
+      const Matrix u = la::ref::qr(random_matrix(m, k, rng).view()).q;
+      const Matrix got = la::orth_complement(u.view());
+      const Matrix ref = la::ref::orth_complement(u.view());
+      ASSERT_EQ(got.rows(), m) << what;
+      ASSERT_EQ(got.cols(), m - k) << what;
+      const double tol = 10.0 * static_cast<double>(m) * kEps64;
+      EXPECT_LE(orthogonality_error(got.view()), tol) << what;
+      // [Q_c U] is orthogonal: the complement is orthogonal to col(U).
+      Matrix utq(k, m - k);
+      la::ref::gemm(1.0, u.view(), Trans::Yes, got.view(), Trans::No, 0.0, utq.view());
+      EXPECT_LE(la::norm_fro(utq.view()), tol) << what;
+      EXPECT_LE(max_diff_up_to_column_signs(got.view(), ref.view()),
+                tolerance(m, 1.0, kEps64))
+          << what << ": vs ref";
+    }
+  }
+}
+
+TEST(LinalgConformance, PivotedQrFormsOrthonormalQ) {
+  // A·P = Q·R for untruncated factorizations, on the reflector-by-reflector
+  // path (rank <= 32) and the WY path.
+  struct Case {
+    index_t m, n, max_rank;
+  };
+  Rng rng(43);
+  for (Backend be : backends_under_test()) {
+    BackendGuard guard(be);
+    for (Case c : {Case{40, 30, 30}, Case{30, 45, 30}, Case{120, 70, 70},
+                   Case{70, 120, 70}}) {
+      const std::string what = ctx(be, "pivoted_qr " + std::to_string(c.m) + "x" +
+                                           std::to_string(c.n));
+      const Matrix a = random_matrix(c.m, c.n, rng);
+      const auto f = la::pivoted_qr(a.view(), c.max_rank, 0.0);
+      ASSERT_EQ(f.rank, c.max_rank) << what;
+      const Matrix q = f.q();
+      ASSERT_EQ(q.rows(), c.m) << what;
+      ASSERT_EQ(q.cols(), f.rank) << what;
+      EXPECT_LE(orthogonality_error(q.view()), 10.0 * static_cast<double>(c.m) * kEps64)
+          << what;
+      const Matrix ap = la::gather_cols(a.view(), f.perm);
+      EXPECT_LE(factorization_error(ap.view(), q.view(), f.r.view()),
+                10.0 * kEps64 * la::norm_fro(a.view()))
+          << what;
+    }
   }
 }
 
