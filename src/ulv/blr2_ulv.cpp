@@ -1,5 +1,7 @@
 #include "ulv/blr2_ulv.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
@@ -26,51 +28,18 @@ BLR2ULV BLR2ULV::factorize(const fmt::BLR2Matrix& a) {
 }
 
 std::vector<double> BLR2ULV::solve(const std::vector<double>& b) const {
-  const fmt::BLR2Matrix& a = *a_;
-  const index_t n = a.size(), p = a.num_blocks();
-  HATRIX_CHECK(static_cast<index_t>(b.size()) == n, "solve: rhs length mismatch");
-
-  // Forward: per-block rotate + eliminate; gather skeleton RHS.
-  std::vector<NodeForward> fwd(static_cast<std::size_t>(p));
-  const index_t total = skel_offset_[static_cast<std::size_t>(p)];
-  std::vector<double> z(static_cast<std::size_t>(total), 0.0);
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    fwd[static_cast<std::size_t>(i)] = forward_step(
-        factors_[static_cast<std::size_t>(i)], la::F64Block(nd.basis).view(),
-        b.data() + nd.begin);
-    const auto& zs = fwd[static_cast<std::size_t>(i)].z_s;
-    std::copy(zs.begin(), zs.end(),
-              z.begin() + skel_offset_[static_cast<std::size_t>(i)]);
-  }
-
-  // Coupled skeleton solve.
-  if (total > 0) {
-    la::MatrixView zv{z.data(), total, 1, total};
-    la::potrs(merged_l_.view(), zv);
-  }
-
-  // Backward: reconstruct block-local solutions.
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < p; ++i) {
-    const auto& nd = a.node(i);
-    std::vector<double> xs(
-        z.begin() + skel_offset_[static_cast<std::size_t>(i)],
-        z.begin() + skel_offset_[static_cast<std::size_t>(i) + 1]);
-    std::vector<double> xl = backward_step(
-        factors_[static_cast<std::size_t>(i)], la::F64Block(nd.basis).view(),
-        fwd[static_cast<std::size_t>(i)], xs);
-    for (index_t r = 0; r < nd.block_size(); ++r)
-      x[static_cast<std::size_t>(nd.begin + r)] = xl[static_cast<std::size_t>(r)];
-  }
-  return x;
+  // The one-column case of the panel sweep: b is viewed, not copied.
+  const auto n = static_cast<index_t>(b.size());
+  const Matrix x = solve(la::ConstMatrixView{b.data(), n, 1, std::max<index_t>(n, 1)});
+  return {x.data(), x.data() + n};
 }
 
-Matrix BLR2ULV::solve(const Matrix& b) const {
+Matrix BLR2ULV::solve(la::ConstMatrixView b) const {
+  HATRIX_CHECK(a_ != nullptr, "BLR2ULV: empty factorization (default-constructed)");
   const fmt::BLR2Matrix& a = *a_;
   const index_t n = a.size(), p = a.num_blocks();
-  HATRIX_CHECK(b.rows() == n, "solve: rhs row count mismatch");
-  const index_t nrhs = b.cols();
+  HATRIX_CHECK(b.rows == n, "solve: rhs row count mismatch");
+  const index_t nrhs = b.cols;
   if (nrhs == 0) return Matrix(n, 0);
 
   // Forward: per-block panel rotate + eliminate; gather skeleton panels.

@@ -33,13 +33,16 @@ class BLR2ULV {
   /// order; throws hatrix::Error if not positive definite.
   static BLR2ULV factorize(const fmt::BLR2Matrix& a);
 
-  /// Solve A x = b (Eq. 15).
+  /// Solve A x = b (Eq. 15): the one-column case of solve(ConstMatrixView),
+  /// with `b` viewed as an n x 1 panel.
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Blocked multi-RHS solve A X = B: per-block rotations and triangular
-  /// solves applied to the whole RHS panel (gemm/trsm), merged skeleton
-  /// solve on the full panel. Column j is bit-identical to solve(column j).
-  [[nodiscard]] Matrix solve(const Matrix& b) const;
+  /// Solve A X = B for a panel of right-hand sides: the one sequential solve
+  /// sweep. Per-block rotations and triangular solves run on the whole panel
+  /// (gemm/trsm), then the merged skeleton solve. Column j is bit-identical
+  /// to solving column j alone. Throws hatrix::Error on a default-constructed
+  /// (empty) factorization.
+  [[nodiscard]] Matrix solve(la::ConstMatrixView b) const;
 
   [[nodiscard]] std::int64_t memory_bytes() const;
 

@@ -9,9 +9,11 @@
 /// only cross levels through the gather/scatter, so an asynchronous runtime
 /// overlaps the sweeps of independent subtrees.
 ///
-/// Tasks operate on whole RHS panels (n x nrhs): the single-vector overload
-/// is the nrhs = 1 special case of the same DAG, so the task path shares the
-/// blocked gemm/trsm kernels with HSSULV::solve(const Matrix&).
+/// Tasks operate on whole RHS panels (n x nrhs) and run the same per-node
+/// steps (forward_step_panel / backward_step_panel) as the sequential sweep
+/// HSSULV::solve(ConstMatrixView); the single-vector overload is the
+/// nrhs = 1 case of the same DAG, as HSSULV's vector solve is the one-column
+/// case of its sweep.
 
 #include <memory>
 

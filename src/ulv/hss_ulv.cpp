@@ -1,5 +1,6 @@
 #include "ulv/hss_ulv.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -21,97 +22,22 @@ HSSULV HSSULV::factorize(const fmt::HSSMatrix& a) {
 }
 
 std::vector<double> HSSULV::solve(const std::vector<double>& b) const {
-  const fmt::HSSMatrix& a = *a_;
-  const index_t n = a.size();
-  HATRIX_CHECK(static_cast<index_t>(b.size()) == n, "solve: rhs length mismatch");
-  const int L = a.max_level();
-
-  if (L == 0) {
-    std::vector<double> x = b;
-    la::MatrixView xv{x.data(), n, 1, n};
-    la::potrs(root_l_.view(), xv);
-    return x;
-  }
-
-  // Forward sweep, leaves to root: rotate, eliminate redundant part, pass
-  // the skeleton RHS up (the inner summation of Eq. 17).
-  std::vector<std::vector<NodeForward>> fwd(static_cast<std::size_t>(L) + 1);
-  std::vector<std::vector<double>> carried(static_cast<std::size_t>(a.num_nodes(L)));
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    carried[static_cast<std::size_t>(i)].assign(
-        b.begin() + nd.begin, b.begin() + nd.end);
-  }
-  for (int l = L; l >= 1; --l) {
-    auto& level_fwd = fwd[static_cast<std::size_t>(l)];
-    level_fwd.resize(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t i = 0; i < a.num_nodes(l); ++i) {
-      level_fwd[static_cast<std::size_t>(i)] =
-          forward_step(factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
-                       la::F64Block(a.node(l, i).basis).view(),
-                       carried[static_cast<std::size_t>(i)].data());
-    }
-    std::vector<std::vector<double>> parent(static_cast<std::size_t>(a.num_nodes(l - 1)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      auto& up = parent[static_cast<std::size_t>(t)];
-      const auto& z0 = level_fwd[static_cast<std::size_t>(2 * t)].z_s;
-      const auto& z1 = level_fwd[static_cast<std::size_t>(2 * t + 1)].z_s;
-      up.reserve(z0.size() + z1.size());
-      up.insert(up.end(), z0.begin(), z0.end());
-      up.insert(up.end(), z1.begin(), z1.end());
-    }
-    carried = std::move(parent);
-  }
-
-  // Root: dense Cholesky solve.
-  std::vector<double> x_root = carried[0];
-  if (!x_root.empty()) {
-    la::MatrixView xv{x_root.data(), static_cast<index_t>(x_root.size()), 1,
-                      static_cast<index_t>(x_root.size())};
-    la::potrs(root_l_.view(), xv);
-  }
-
-  // Backward sweep, root to leaves: split the parent's solution into the
-  // children's skeleton solutions and reconstruct node-local solutions.
-  std::vector<std::vector<double>> down(static_cast<std::size_t>(1), std::move(x_root));
-  for (int l = 1; l <= L; ++l) {
-    std::vector<std::vector<double>> next(static_cast<std::size_t>(a.num_nodes(l)));
-    for (index_t t = 0; t < a.num_pairs(l); ++t) {
-      const auto& parent_x = down[static_cast<std::size_t>(t)];
-      const auto& f0 = factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)];
-      const auto& f1 = factors_[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)];
-      std::vector<double> xs0(parent_x.begin(), parent_x.begin() + f0.k);
-      std::vector<double> xs1(parent_x.begin() + f0.k, parent_x.end());
-      next[static_cast<std::size_t>(2 * t)] = backward_step(
-          f0, la::F64Block(a.node(l, 2 * t).basis).view(),
-          fwd[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t)], xs0);
-      next[static_cast<std::size_t>(2 * t + 1)] = backward_step(
-          f1, la::F64Block(a.node(l, 2 * t + 1).basis).view(),
-          fwd[static_cast<std::size_t>(l)][static_cast<std::size_t>(2 * t + 1)], xs1);
-    }
-    down = std::move(next);
-  }
-
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    const auto& xl = down[static_cast<std::size_t>(i)];
-    for (index_t r = 0; r < nd.block_size(); ++r)
-      x[static_cast<std::size_t>(nd.begin + r)] = xl[static_cast<std::size_t>(r)];
-  }
-  return x;
+  // The one-column case of the panel sweep: b is viewed, not copied.
+  const auto n = static_cast<index_t>(b.size());
+  const Matrix x = solve(la::ConstMatrixView{b.data(), n, 1, std::max<index_t>(n, 1)});
+  return {x.data(), x.data() + n};
 }
 
-Matrix HSSULV::solve(const Matrix& b) const {
-  const fmt::HSSMatrix& a = *a_;
+Matrix HSSULV::solve(la::ConstMatrixView b) const {
+  const fmt::HSSMatrix& a = matrix();
   const index_t n = a.size();
-  HATRIX_CHECK(b.rows() == n, "solve: rhs row count mismatch");
-  const index_t nrhs = b.cols();
+  HATRIX_CHECK(b.rows == n, "solve: rhs row count mismatch");
+  const index_t nrhs = b.cols;
   const int L = a.max_level();
   if (nrhs == 0) return Matrix(n, 0);
 
   if (L == 0) {
-    Matrix x = Matrix::from_view(b.view());
+    Matrix x = Matrix::from_view(b);
     la::potrs(root_l_.view(), x.view());
     return x;
   }
@@ -187,15 +113,10 @@ Matrix HSSULV::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix HSSULV::solve_columnwise(const Matrix& b) const {
-  HATRIX_CHECK(b.rows() == a_->size(), "solve: rhs row count mismatch");
-  Matrix x(b.rows(), b.cols());
-  std::vector<double> col(static_cast<std::size_t>(b.rows()));
-  for (index_t j = 0; j < b.cols(); ++j) {
-    for (index_t i = 0; i < b.rows(); ++i) col[static_cast<std::size_t>(i)] = b(i, j);
-    std::vector<double> xj = solve(col);
-    for (index_t i = 0; i < b.rows(); ++i) x(i, j) = xj[static_cast<std::size_t>(i)];
-  }
+Matrix HSSULV::solve_columnwise(la::ConstMatrixView b) const {
+  Matrix x(b.rows, b.cols);
+  for (index_t j = 0; j < b.cols; ++j)
+    la::copy(solve(b.block(0, j, b.rows, 1)).view(), x.block(0, j, b.rows, 1));
   return x;
 }
 

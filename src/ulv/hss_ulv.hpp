@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "format/hss.hpp"
 #include "ulv/ulv_common.hpp"
 
@@ -44,23 +45,27 @@ class HSSULV {
   /// representation).
   static HSSULV factorize(const fmt::HSSMatrix& a);
 
-  /// Solve A x = b; returns x. `b.size()` must equal `a.size()`.
+  /// Solve A x = b; returns x. `b.size()` must equal `a.size()`. The
+  /// one-column case of solve(ConstMatrixView): `b` is viewed as an n x 1
+  /// panel, so vector and panel solves share one sweep.
   [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
 
-  /// Solve A X = B for a whole panel of right-hand sides through the
-  /// blocked multi-RHS path: the level-by-level rotations and triangular
-  /// solves are applied to the entire panel via gemm/trsm, so each node's
-  /// factor blocks are streamed through the cache once per panel instead of
-  /// once per column. Column j of the result is bit-identical to
-  /// solve(column j) and to solve_columnwise(b) — the per-column operation
-  /// order is unchanged, only the blocking is.
-  [[nodiscard]] Matrix solve(const Matrix& b) const;
+  /// Solve A X = B for a panel of right-hand sides (n x nrhs): the one
+  /// sequential solve sweep. Forward, leaves to root, each node rotates and
+  /// eliminates its panel rows by gemm/trsm; the root solves the skeleton
+  /// panel; backward, root to leaves, each node rebuilds its solution rows.
+  /// Each node's factor blocks stream through the cache once per panel
+  /// rather than once per column. Column j of the result is bit-identical
+  /// to solving column j alone (the kernels' per-column determinism
+  /// contract), which solve_columnwise checks. Throws hatrix::Error on a
+  /// default-constructed (empty) factorization.
+  [[nodiscard]] Matrix solve(la::ConstMatrixView b) const;
 
-  /// Test oracle: the pre-blocked column-by-column solve (one full
-  /// single-RHS sweep per column of B). Kept only so tests and
-  /// bench_solve_throughput can assert the blocked path is bit-identical
-  /// and measure its speedup; new code should call solve(const Matrix&).
-  [[nodiscard]] Matrix solve_columnwise(const Matrix& b) const;
+  /// Test oracle: one width-1 sweep of solve(ConstMatrixView) per column
+  /// of B. Tests and bench_solve_throughput use it to assert that panel
+  /// width never changes a column's bits and to measure the blocking's
+  /// speedup; new code should call solve(ConstMatrixView).
+  [[nodiscard]] Matrix solve_columnwise(la::ConstMatrixView b) const;
 
   /// Solve with iterative refinement: after the direct ULV solve, perform
   /// `iterations` residual-correction steps r = b - A x (A applied through
@@ -77,8 +82,12 @@ class HSSULV {
   /// Total bytes held by the factors (complements + triangles + root).
   [[nodiscard]] std::int64_t memory_bytes() const;
 
-  /// The matrix this factorization refers to (not owned).
-  [[nodiscard]] const fmt::HSSMatrix& matrix() const { return *a_; }
+  /// The matrix this factorization refers to (not owned). Throws
+  /// hatrix::Error on a default-constructed (empty) factorization.
+  [[nodiscard]] const fmt::HSSMatrix& matrix() const {
+    HATRIX_CHECK(a_ != nullptr, "HSSULV: empty factorization (default-constructed)");
+    return *a_;
+  }
 
   /// Per-node factor access (used by the task-based solve).
   [[nodiscard]] const NodeFactor& factor(int level, index_t i) const {

@@ -61,26 +61,6 @@ PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t 
   return out;
 }
 
-NodeForward forward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                         const double* b_local) {
-  NodeForward fw;
-  fw.z_r.assign(static_cast<std::size_t>(f.m - f.k), 0.0);
-  fw.z_s.assign(static_cast<std::size_t>(f.k), 0.0);
-  if (f.m - f.k > 0) {
-    la::gemv(1.0, f.q_comp.view(), la::Trans::Yes, b_local, 0.0, fw.z_r.data());
-    // z_r = L_RR^{-1} (Qᵀ b)
-    la::MatrixView zr{fw.z_r.data(), f.m - f.k, 1, f.m - f.k};
-    la::trsm(la::Side::Left, la::UpLo::Lower, la::Trans::No, la::Diag::NonUnit, 1.0,
-             f.l_rr.view(), zr);
-  }
-  if (f.k > 0) {
-    la::gemv(1.0, basis, la::Trans::Yes, b_local, 0.0, fw.z_s.data());
-    if (f.m - f.k > 0)
-      la::gemv(-1.0, f.l_sr.view(), la::Trans::No, fw.z_r.data(), 1.0, fw.z_s.data());
-  }
-  return fw;
-}
-
 NodeForwardPanel forward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
                                     la::ConstMatrixView b_local) {
   HATRIX_CHECK(b_local.rows == f.m, "forward_step_panel: rhs panel row mismatch");
@@ -127,27 +107,6 @@ void backward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
   } else {
     la::fill(x_out, 0.0);
   }
-}
-
-std::vector<double> backward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                                  const NodeForward& fw,
-                                  const std::vector<double>& x_s) {
-  HATRIX_CHECK(static_cast<index_t>(x_s.size()) == f.k,
-               "backward_step: skeleton solution has wrong length");
-  std::vector<double> x(static_cast<std::size_t>(f.m), 0.0);
-  if (f.m - f.k > 0) {
-    // x_r = L_RRᵀ^{-1} (z_r - L_SRᵀ x_s)
-    std::vector<double> rhs = fw.z_r;
-    if (f.k > 0)
-      la::gemv(-1.0, f.l_sr.view(), la::Trans::Yes, x_s.data(), 1.0, rhs.data());
-    la::MatrixView rv{rhs.data(), f.m - f.k, 1, f.m - f.k};
-    la::trsm(la::Side::Left, la::UpLo::Lower, la::Trans::Yes, la::Diag::NonUnit, 1.0,
-             f.l_rr.view(), rv);
-    la::gemv(1.0, f.q_comp.view(), la::Trans::No, rhs.data(), 0.0, x.data());
-  }
-  if (f.k > 0)
-    la::gemv(1.0, basis, la::Trans::No, x_s.data(), 1.0, x.data());
-  return x;
 }
 
 }  // namespace hatrix::ulv

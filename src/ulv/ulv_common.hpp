@@ -7,8 +7,6 @@
 /// Cholesky-factorize the redundant (RR) part, and leave a Schur-complement
 /// skeleton (SS) block for the next level / merge step.
 
-#include <vector>
-
 #include "linalg/matrix.hpp"
 
 namespace hatrix::ulv {
@@ -56,41 +54,25 @@ DiagProductResult diag_product(la::ConstMatrixView diag, la::ConstMatrixView bas
 PartialFactorResult partial_factor_rotated(la::ConstMatrixView rotated, index_t k,
                                            Matrix q_comp);
 
-/// Forward-solve bookkeeping for one node: rotated RHS pieces.
-struct NodeForward {
-  std::vector<double> z_r;  ///< L_RR^{-1} Qᵀ b (length m-k)
-  std::vector<double> z_s;  ///< Uˢᵀ b - L_SR z_r (length k), passed up
-};
-
-/// Apply the forward step of the ULV solve at one node (Eq. 15/17 inner
-/// factor): rotate the local RHS and eliminate the redundant part.
-NodeForward forward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                         const double* b_local);
-
-/// Apply the backward step: given the skeleton solution x_s (length k),
-/// reconstruct the node-local solution x = Uᴿ x_r + Uˢ x_s (length m).
-std::vector<double> backward_step(const NodeFactor& f, la::ConstMatrixView basis,
-                                  const NodeForward& fw,
-                                  const std::vector<double>& x_s);
-
-/// Forward-solve bookkeeping for a whole RHS panel at one node. The panel
-/// analogue of NodeForward: each column is one right-hand side, and the
-/// rotations / triangular solves are applied to all of them at once
-/// (gemm/trsm instead of per-column gemv/trsv), which streams the node's
-/// factor blocks through the cache once per panel instead of once per RHS.
+/// Forward-solve bookkeeping for a panel of right-hand sides at one node
+/// (Eq. 15/17 inner factor). Each column is one right-hand side; a single
+/// vector is a one-column panel. The rotations and triangular solves run on
+/// all columns at once (gemm/trsm), so the node's factor blocks stream
+/// through the cache once per panel instead of once per column.
 struct NodeForwardPanel {
   Matrix z_r;  ///< (m-k) x nrhs: L_RR^{-1} Qᵀ B
   Matrix z_s;  ///< k x nrhs: Uˢᵀ B - L_SR Z_R, passed up
 };
 
-/// Panel forward step: forward_step applied to every column of `b_local`
-/// ((m x nrhs) view) in blocked form. Column j of the result equals
-/// forward_step on column j of the panel exactly (same operation order per
-/// column), so blocked and per-column solves are bit-identical.
+/// Forward step of the ULV solve at one node: rotate the local RHS panel
+/// `b_local` (m x nrhs) and eliminate its redundant part. Column j of the
+/// result does not depend on how many other columns the panel carries
+/// (same operation order per column), so panel and one-column solves are
+/// bit-identical.
 NodeForwardPanel forward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,
                                     la::ConstMatrixView b_local);
 
-/// Panel backward step: reconstruct the node-local solution panel
+/// Backward step of the ULV solve at one node: reconstruct the node-local solution panel
 /// X = Uᴿ X_R + Uˢ X_S (m x nrhs) into `x_out` from the skeleton solution
 /// panel `x_s` (k x nrhs).
 void backward_step_panel(const NodeFactor& f, la::ConstMatrixView basis,

@@ -5,8 +5,10 @@
 // dimensions, non-contiguous (strided) views, and both scalar precisions.
 // The backends reorder accumulation, so comparisons are tolerance-based
 // (scaled by the inner dimension and the scalar epsilon), not bitwise —
-// bit-identity is the *dispatch-default* contract tested elsewhere
-// (test_solve_blocked, test_executor_conformance), not a cross-backend one.
+// bit-identity is a within-backend contract, not a cross-backend one. The
+// one within-backend check here is panel-width determinism (a panel column
+// equals a one-column call, bit for bit); the solve-level consequences are
+// tested in test_solve_blocked and test_executor_conformance.
 //
 // Also exercises the backend dispatch point under concurrency (runs under
 // TSan via the `concurrency` label): set_backend() races against kernel
@@ -15,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
@@ -141,7 +145,8 @@ const std::vector<GemmShape>& gemm_shapes() {
   static const std::vector<GemmShape> shapes = {
       {0, 5, 3},  {5, 0, 3},   {5, 3, 0},   {1, 1, 1},   {2, 3, 4},
       {7, 5, 9},  {17, 13, 11}, {33, 33, 33}, {64, 64, 64}, {65, 63, 67},
-      {129, 40, 17}, {200, 8, 40}, {8, 200, 40}};
+      {129, 40, 17}, {200, 8, 40}, {8, 200, 40}, {176, 1, 256}, {16, 1, 48},
+      {65, 1, 67}};
   return shapes;
 }
 
@@ -262,6 +267,90 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
                     tolerance(k, max_abs(cf_ref.view()), kEps32))
               << ctx(be, "syrk f n=" + std::to_string(n) + " k=" + std::to_string(k))
               << " trans=" << (tr == Trans::Yes);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Panel-width determinism (blas.hpp): on the deterministic backends, column j
+// of a gemm or Side::Left trsm result has the same bits whether the call
+// carries one column or a whole panel. The ULV solve relies on it — a vector
+// solve is its one-column panel sweep. Shapes are the solve's per-node
+// products: op(A) of (m-k) x m or k x m against an m-row panel, and the
+// (m-k)- or k-order triangular solves, plus one odd shape.
+
+std::vector<Backend> deterministic_backends() {
+  return {Backend::Naive, Backend::Blocked};
+}
+
+struct SolveShape {
+  index_t m, k;
+};
+const std::vector<SolveShape> kSolveShapes = {{32, 16}, {64, 16}, {256, 80}, {67, 13}};
+constexpr index_t kPanel = 64;
+
+void expect_column_bits(ConstMatrixView panel, index_t j, ConstMatrixView col,
+                        const std::string& what) {
+  ASSERT_EQ(col.rows, panel.rows);
+  for (index_t i = 0; i < col.rows; ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(panel(i, j)),
+              std::bit_cast<std::uint64_t>(col(i, 0)))
+        << what << " column " << j << " row " << i;
+}
+
+TEST(LinalgConformance, GemmPanelColumnsMatchOneColumnCallsBitwise) {
+  Rng rng(41);
+  for (Backend be : deterministic_backends()) {
+    BackendGuard guard(be);
+    for (const auto& s : kSolveShapes) {
+      for (index_t r : {s.m - s.k, s.k}) {
+        const Matrix b = random_matrix(s.m, kPanel, rng);
+        const Matrix c0 = random_matrix(r, kPanel, rng);
+        for (Trans ta : {Trans::No, Trans::Yes}) {
+          const Matrix a = ta == Trans::No ? random_matrix(r, s.m, rng)
+                                           : random_matrix(s.m, r, rng);
+          for (double beta : {0.0, 1.0}) {
+            Matrix panel = c0.f64_copy();
+            la::gemm(-1.0, a.view(), ta, b.view(), Trans::No, beta, panel.view());
+            for (index_t j = 0; j < kPanel; ++j) {
+              Matrix col = Matrix::from_view(c0.block(0, j, r, 1));
+              la::gemm(-1.0, a.view(), ta, b.block(0, j, s.m, 1), Trans::No, beta,
+                       col.view());
+              expect_column_bits(panel.view(), j, col.view(),
+                                 ctx(be, "gemm " + std::to_string(r) + "x" +
+                                             std::to_string(s.m) + " ta=" +
+                                             std::to_string(ta == Trans::Yes) +
+                                             " beta=" + std::to_string(beta)));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LinalgConformance, TrsmPanelColumnsMatchOneColumnCallsBitwise) {
+  Rng rng(42);
+  for (Backend be : deterministic_backends()) {
+    BackendGuard guard(be);
+    for (const auto& s : kSolveShapes) {
+      for (index_t r : {s.m - s.k, s.k}) {
+        const Matrix t = random_triangular(r, UpLo::Lower, rng);
+        const Matrix b0 = random_matrix(r, kPanel, rng);
+        for (Trans tr : {Trans::No, Trans::Yes}) {
+          Matrix panel = b0.f64_copy();
+          la::trsm(Side::Left, UpLo::Lower, tr, Diag::NonUnit, 1.0, t.view(),
+                   panel.view());
+          for (index_t j = 0; j < kPanel; ++j) {
+            Matrix col = Matrix::from_view(b0.block(0, j, r, 1));
+            la::trsm(Side::Left, UpLo::Lower, tr, Diag::NonUnit, 1.0, t.view(),
+                     col.view());
+            expect_column_bits(panel.view(), j, col.view(),
+                               ctx(be, "trsm n=" + std::to_string(r) + " trans=" +
+                                           std::to_string(tr == Trans::Yes)));
+          }
         }
       }
     }

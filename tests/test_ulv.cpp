@@ -15,6 +15,7 @@
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "ulv/blr2_ulv.hpp"
+#include "ulv/hss_solve_tasks.hpp"
 #include "ulv/hss_ulv.hpp"
 
 namespace hatrix::ulv {
@@ -154,6 +155,15 @@ TEST(HssUlv, SolveRejectsWrongLength) {
   EXPECT_THROW((void)f.solve(bad), Error);
 }
 
+TEST(HssUlv, SolveOnEmptyFactorizationThrows) {
+  const HSSULV f;  // default-constructed: refers to no matrix
+  EXPECT_THROW((void)f.solve(std::vector<double>(8, 1.0)), Error);
+  EXPECT_THROW((void)f.solve(Matrix(8, 2)), Error);
+  EXPECT_THROW((void)f.solve_columnwise(Matrix(8, 2)), Error);
+  rt::TaskGraph g;
+  EXPECT_THROW((void)emit_hss_solve_dag(f, std::vector<double>(8, 1.0), g), Error);
+}
+
 TEST(HssUlv, MemoryBytesPositiveAndBounded) {
   Problem p(1024, 128);
   fmt::KernelAccessor acc(*p.km);
@@ -191,6 +201,12 @@ TEST_P(Blr2UlvKernels, SolveMatchesDenseSolveOfCompressedOperator) {
 
 INSTANTIATE_TEST_SUITE_P(PaperKernels, Blr2UlvKernels,
                          ::testing::Values("laplace2d", "yukawa", "matern"));
+
+TEST(Blr2Ulv, SolveOnEmptyFactorizationThrows) {
+  const BLR2ULV f;  // default-constructed: refers to no matrix
+  EXPECT_THROW((void)f.solve(std::vector<double>(8, 1.0)), Error);
+  EXPECT_THROW((void)f.solve(Matrix(8, 2)), Error);
+}
 
 TEST(Blr2Ulv, SolveErrorAgainstTrueMatrix) {
   Problem p(1024, 128, "yukawa");
