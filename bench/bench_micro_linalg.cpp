@@ -155,6 +155,29 @@ int main(int argc, char** argv) {
     }));
   }
 
+  // The ULV panel solve's triangular solves: L_RR (order m - k) against a
+  // 64-column panel, forward (NoTrans) and backward (Trans), at the
+  // yukawa_fine (leaf 64, rank 16) and yukawa_coarse (leaf 256, rank 80)
+  // shapes.
+  for (const auto& [name, trans] :
+       {std::pair{"trsm_fwd", la::Trans::No}, std::pair{"trsm_bwd", la::Trans::Yes}}) {
+    for (la::index_t n : {48, 176}) {
+      const la::index_t rhs = 64;
+      Rng rng(13);
+      Matrix l = Matrix::random_spd(rng, n);
+      la::potrf(l.view());
+      Matrix b = Matrix::random_normal(rng, n, rhs);
+      Matrix x(n, rhs);
+      cases.push_back(timed(name, n, static_cast<double>(n) * n * rhs, min_time, [&] {
+        la::copy(b.view(), x.view());
+        la::trsm(la::Side::Left, la::UpLo::Lower, trans, la::Diag::NonUnit, 1.0,
+                 l.view(), x.view());
+      }));
+      cases.back().shape = std::to_string(n) + "x" + std::to_string(rhs) +
+                           (trans == la::Trans::No ? " L-N" : " L-T");
+    }
+  }
+
   // The QR family at the pipeline's shapes (leaf 256, rank 80, 512
   // samples): `qr` orthonormalizes a leaf's (256 x 80) and a merged node's
   // (160 x 80) interpolation factor, `orth_complement` is the ULV

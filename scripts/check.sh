@@ -43,7 +43,8 @@ if [ "$FULL" = "1" ]; then
     --json /tmp/hatrix_check_bench_runtime.json
 
   # Kernel-layer perf regression gate: fresh micro-bench rates vs the
-  # committed BENCH_linalg.json baseline (hard floor on gemm n=256).
+  # committed BENCH_linalg.json baseline (hard floors on gemm, orth_complement
+  # and trsm_bwd).
   ./scripts/perf_gate.sh build
 
   cmake -B build-tsan -S . \

@@ -5,14 +5,18 @@
 # against the committed baseline BENCH_linalg.json. A case fails when its
 # fresh GFLOP/s drops more than PERF_GATE_TOL (default 35% — micro-bench
 # noise on a shared machine is real, a kernel regression is much larger)
-# below the committed number. Independently of the relative check, two
+# below the committed number. Independently of the relative check, three
 # cases carry hard floors, so the tuned kernels can never silently fall
 # back to their old rates even if someone commits a slower baseline file:
 #   - gemm n=256 must sustain 6.83 GFLOP/s (2x the pre-blocking naive
 #     gemm's 3.41);
 #   - orth_complement n=256 (a 256 x 80 basis) must sustain 4.44 GFLOP/s
 #     (2x the 2.22 of the level-2, reflector-by-reflector Householder code
-#     it replaced), so the QR family cannot fall back to level-2 speed.
+#     it replaced), so the QR family cannot fall back to level-2 speed;
+#   - trsm_bwd n=48 (L_RRᵀ of order 48 against a 64-column panel, the
+#     backward panel solve at leaf 64, rank 16) must sustain 3.0 GFLOP/s
+#     (2x the 1.50 of the scalar diagonal-block kernel it replaced, on the
+#     same harness), so trsm cannot fall back to scalar dot chains.
 #
 #   scripts/perf_gate.sh [build-dir]      (default: build)
 #
@@ -54,7 +58,7 @@ def load(path):
 fresh, base = load(fresh_path), load(base_path)
 
 # Hard floors, independent of the baseline file's contents.
-FLOORS = {("gemm", 256): 6.83, ("orth_complement", 256): 4.44}
+FLOORS = {("gemm", 256): 6.83, ("orth_complement", 256): 4.44, ("trsm_bwd", 48): 3.0}
 
 failures = []
 print(f"{'kernel':<16} {'n':>5} {'baseline':>9} {'fresh':>9} {'ratio':>6}")

@@ -206,14 +206,6 @@ void trmm_entry(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
 
 void gemm(double alpha, ConstMatrixView a, Trans ta, ConstMatrixView b, Trans tb,
           double beta, MatrixView c) {
-  if (c.cols == 1 && b.cols == 1 && tb == Trans::No) {
-    // A one-column product (gemv, a solve's width-1 panel) is re-issued with
-    // a literal column count so the compiler specializes the blocked kernel
-    // for it: the same arithmetic, without the generic column loops.
-    gemm_entry<double>(alpha, a, ta, ConstMatrixView{b.data, b.rows, 1, b.ld},
-                       Trans::No, beta, MatrixView{c.data, c.rows, 1, c.ld});
-    return;
-  }
   gemm_entry<double>(alpha, a, ta, b, tb, beta, c);
 }
 void gemm(float alpha, ConstMatrixViewF a, Trans ta, ConstMatrixViewF b, Trans tb,
@@ -255,7 +247,8 @@ void trmm(Side side, UpLo uplo, Trans trans, Diag diag, float alpha,
 void gemv(double alpha, ConstMatrixView a, Trans ta, const double* x, double beta,
           double* y) {
   // One-column gemm so vector and panel calls stay bit-identical per column
-  // (the solve layer's determinism contract); gemm specializes one column.
+  // (the solve layer's determinism contract); the blocked gemm runs one
+  // column unpacked.
   const index_t m = detail::op_rows(a, ta), n = detail::op_cols(a, ta);
   const ConstMatrixView xv{x, n, 1, n > 0 ? n : 1};
   const MatrixView yv{y, m, 1, m > 0 ? m : 1};

@@ -7,8 +7,9 @@
 ///   *_naive   — the original reference triple loops (the conformance
 ///               oracle; exposed publicly through la::ref).
 ///   *_blocked — cache-blocked, packing GEBP gemm with a register-tiled
-///               micro-kernel; trsm/syrk are recast as unblocked
-///               diagonal-block solves plus blocked-gemm panel updates.
+///               micro-kernel; trsm/syrk/potrf are recast as vectorized
+///               diagonal-block kernels (*_lanes) plus blocked-gemm panel
+///               updates.
 ///
 /// Determinism invariant (the solve layer's panel/column bit-identity
 /// depends on it): in every kernel here, the arithmetic performed for
@@ -16,7 +17,22 @@
 /// inputs — never on how many other columns the call carries. The blocked
 /// gemm keeps one accumulator per (i, j), visits l in ascending order
 /// within each KC chunk, and applies chunks in ascending order, so a
-/// one-column call and a panel call round identically.
+/// one-column call and a panel call round identically; its unpacked
+/// one-column path repeats that per-element sequence (accumulator from 0,
+/// one FMA per l, then c += alpha·acc as one FMA).
+///
+/// The *_lanes kernels put SIMD lanes across independent outputs and keep
+/// every element's own sequence: a diagonal-block trsm element is
+/// s = b_i; s -= op(T)(i,j)·x_j for j ascending over the solved range;
+/// x_i = s / op(T)(i,i), each step one FMA. Left trsm runs lanes across RHS
+/// columns (tiles of whole columns transposed into a row-major scratch
+/// tile), right trsm across rows of B, and potrf/syrk across the rows i of
+/// the column being formed (column-oriented, left-looking: potrf
+/// a(i,j) -= a(i,k)·a(j,k) for k ascending, then one divide by the pivot's
+/// square root; syrk acc = Σ_l op(A)(i,l)·op(A)(j,l) from 0, then
+/// c(i,j) += alpha·acc). Outputs are chunked 4·kLanes, kLanes, then halving
+/// down to single lanes, and a single lane is the same FMA sequence as a
+/// vector lane (fmadd), so a one-column solve rounds like its panel column.
 ///
 /// Nothing in this header counts flops or validates shapes: the public
 /// entry points in blas.cpp own both.
@@ -232,9 +248,9 @@ void trmm_naive(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
   }
 }
 
-/// Unblocked lower Cholesky (dpotf2-style). Used for diagonal blocks by the
-/// blocked potrf and as the reference factorization. Does NOT touch the
-/// strict upper triangle — the callers zero it once at the end.
+/// Unblocked lower Cholesky (dpotf2-style): the reference factorization
+/// behind la::ref::potrf. Does NOT touch the strict upper triangle — the
+/// callers zero it once at the end.
 template <class T>
 void potrf_unblocked(MatrixViewT<T> a) {
   const index_t n = a.rows;
@@ -330,6 +346,61 @@ void pack_b(ConstMatrixViewT<T> b, Trans tb, index_t p0, index_t j0, index_t kc,
 #define HATRIX_LA_VECTOR_EXT 1
 #endif
 
+/// a·b + c, rounded once where the target has FMA instructions and twice
+/// where it has none. The lane kernels and their single-lane tails use only
+/// this, so a vector lane and a scalar column round alike: the compiler's
+/// own contraction of `c + a*b` is not applied uniformly to vector and
+/// scalar code.
+template <class T>
+inline T fmadd(T a, T b, T c) {
+#if defined(__FP_FAST_FMA) && defined(__FP_FAST_FMAF)
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// Lanes per 64-byte vector of T: 8 doubles, 16 floats.
+template <class T>
+inline constexpr index_t kLanes = 64 / static_cast<index_t>(sizeof(T));
+
+/// The lane core: for each lane r < W, q = 0 .. nq-1 ascending,
+///   acc[r] = fmadd(±coef[q·cs], x[q·ld + r], acc[r])
+/// (minus when Sub: the negation is exact, so it is one fnma). Lanes never
+/// mix, so a lane's result does not depend on W.
+template <index_t W, bool Sub, class T>
+inline void lane_sweep(index_t nq, const T* coef, index_t cs, const T* x, index_t ld,
+                       T* acc) {
+  T a[W];
+  for (index_t r = 0; r < W; ++r) a[r] = acc[r];
+  for (index_t q = 0; q < nq; ++q) {
+    const T c = Sub ? -coef[q * cs] : coef[q * cs];
+    const T* xq = x + q * ld;
+#pragma GCC unroll 64
+    for (index_t r = 0; r < W; ++r) a[r] = fmadd(c, xq[r], a[r]);
+  }
+  for (index_t r = 0; r < W; ++r) acc[r] = a[r];
+}
+
+/// Call body.template operator()<W>(r) over [0, m) in chunks of
+/// W = 4·kLanes, then kLanes, then halving widths down to 1.
+template <index_t W, class Body>
+inline void lane_tail(index_t& r, index_t m, Body& body) {
+  if (r + W <= m) {
+    body.template operator()<W>(r);
+    r += W;
+  }
+  if constexpr (W > 1) lane_tail<W / 2>(r, m, body);
+}
+template <class T, class Body>
+inline void for_lane_chunks(index_t m, Body&& body) {
+  constexpr index_t V = kLanes<T>;
+  index_t r = 0;
+  for (; r + 4 * V <= m; r += 4 * V) body.template operator()<4 * V>(r);
+  for (; r + V <= m; r += V) body.template operator()<V>(r);
+  lane_tail<V / 2>(r, m, body);
+}
+
 /// The register-tiled micro-kernel: acc(MR x NR) = sum_l Ap(:, l) Bp(l, :),
 /// then C(0..m_eff, 0..n_eff) += alpha * acc. Each of the NR accumulators is
 /// a named MR-lane vector (GCC/Clang vector extension) so they provably live
@@ -375,10 +446,48 @@ inline void micro_kernel(index_t kc, const T* ap, const T* bp, T alpha,
 #endif
   if (m_eff == MR && n_eff == NR) {
     for (int j = 0; j < NR; ++j)
-      for (int i = 0; i < MR; ++i) c(i, j) += alpha * acc[j * MR + i];
+      for (int i = 0; i < MR; ++i) c(i, j) = fmadd(alpha, acc[j * MR + i], c(i, j));
   } else {
     for (index_t j = 0; j < n_eff; ++j)
-      for (index_t i = 0; i < m_eff; ++i) c(i, j) += alpha * acc[j * MR + i];
+      for (index_t i = 0; i < m_eff; ++i)
+        c(i, j) = fmadd(alpha, acc[j * MR + i], c(i, j));
+  }
+}
+
+/// gemm's one-column path: c += alpha·op(A)·b for b with stride bs, without
+/// packing. Per KC chunk, each c_i gets an accumulator from 0, one FMA per l
+/// ascending, then c_i = fmadd(alpha, acc, c_i): the micro-kernel's
+/// per-element arithmetic, so the column has the bits it would have in a
+/// panel call. op(A) = A sweeps lanes down A's columns; op(A) = Aᵀ runs one
+/// dot chain per column of A, eight chains interleaved.
+template <class T>
+void gemm_one_column(T alpha, ConstMatrixViewT<T> a, Trans ta, const T* b, index_t bs,
+                     T* c) {
+  const index_t m = op_rows(a, ta), k = op_cols(a, ta);
+  constexpr index_t KC = GemmBlocking<T>::KC;
+  for (index_t pc = 0; pc < k; pc += KC) {
+    const index_t kc = std::min(KC, k - pc);
+    const T* bc = b + pc * bs;
+    if (ta == Trans::No) {
+      for_lane_chunks<T>(m, [&]<index_t W>(index_t r) {
+        T acc[W] = {};
+        lane_sweep<W, false>(kc, bc, bs, &a(r, pc), a.ld, acc);
+        for (index_t i = 0; i < W; ++i) c[r + i] = fmadd(alpha, acc[i], c[r + i]);
+      });
+    } else {
+      auto dots = [&]<index_t W>(index_t r) {
+        T acc[W] = {};
+        const T* col = &a(pc, r);
+        for (index_t q = 0; q < kc; ++q) {
+          const T bq = bc[q * bs];
+          for (index_t i = 0; i < W; ++i) acc[i] = fmadd(bq, col[i * a.ld + q], acc[i]);
+        }
+        for (index_t i = 0; i < W; ++i) c[r + i] = fmadd(alpha, acc[i], c[r + i]);
+      };
+      index_t r = 0;
+      for (; r + 8 <= m; r += 8) dots.template operator()<8>(r);
+      lane_tail<4>(r, m, dots);
+    }
   }
 }
 
@@ -392,6 +501,10 @@ void gemm_blocked(T alpha, ConstMatrixViewT<T> a, Trans ta, ConstMatrixViewT<T> 
     scale_impl(c, beta);
   }
   if (alpha == T(0) || k == 0 || m == 0 || n == 0) return;
+  if (n == 1) {
+    gemm_one_column<T>(alpha, a, ta, b.data, tb == Trans::No ? 1 : b.ld, c.data);
+    return;
+  }
 
   using Bl = GemmBlocking<T>;
   thread_local std::vector<T> apack;
@@ -428,6 +541,145 @@ void gemm_blocked(T alpha, ConstMatrixViewT<T> a, Trans ta, ConstMatrixViewT<T> 
 /// diagonal work stays cache-resident.
 inline constexpr index_t kTrsmBlock = 64;
 
+/// Element (i, j) of a triangular operand at p[i·rs + j·es]: row i of op(T)
+/// for a left solve, column i of op(T) for a right solve.
+template <class T>
+struct TriRows {
+  const T* p;
+  index_t rs, es;
+  const T* at(index_t i, index_t j) const { return p + i * rs + j * es; }
+};
+
+/// Dot-form substitution of W lanes over an n-row triangle: for i in solve
+/// order (ascending when `up`, else descending), with j ascending over
+/// [0, i) (up) or (i, n),
+///   y_i = (y_i - Σ_j tri(i, j)·y_j) / tri(i, i)   (no divide when unit).
+/// y_i's lanes sit contiguously at y + i·ys.
+template <index_t W, class T>
+inline void subst_lanes(index_t n, TriRows<T> tri, bool up, bool unit, T* y,
+                        index_t ys) {
+  for (index_t s = 0; s < n; ++s) {
+    const index_t i = up ? s : n - 1 - s;
+    const index_t lo = up ? 0 : i + 1, hi = up ? i : n;
+    T* yi = y + i * ys;
+    T acc[W];
+    for (index_t r = 0; r < W; ++r) acc[r] = yi[r];
+    if (hi > lo)
+      lane_sweep<W, true>(hi - lo, tri.at(i, lo), tri.es, y + lo * ys, ys, acc);
+    if (unit) {
+      for (index_t r = 0; r < W; ++r) yi[r] = acc[r];
+    } else {
+      const T d = *tri.at(i, i);
+      for (index_t r = 0; r < W; ++r) yi[r] = acc[r] / d;
+    }
+  }
+}
+
+/// One diagonal block of the blocked trsm (n <= kTrsmBlock, alpha already
+/// applied), with trsm_naive's per-element sequence, each step one FMA.
+/// A left solve
+/// runs lanes across the columns of B: whole tiles of W columns are
+/// transposed into a row-major scratch tile, solved, and copied back. A
+/// right solve runs lanes across the rows of B in place. A strided
+/// triangle is packed once, contiguous along the dot products, when at
+/// least one full vector of lanes will reuse it.
+template <class T>
+void trsm_diag_lanes(Side side, UpLo uplo, Trans trans, Diag diag,
+                     ConstMatrixViewT<T> t, MatrixViewT<T> b) {
+  const index_t n = t.rows;
+  const bool left = side == Side::Left;
+  // op(T) is lower: a left solve runs rows up, a right solve columns down.
+  const bool op_lower = (uplo == UpLo::Lower) == (trans == Trans::No);
+  const bool up = left == op_lower;
+  const bool unit = diag == Diag::Unit;
+  // Left: tri(i, j) = op(T)(i, j); right: tri(i, j) = op(T)(j, i).
+  TriRows<T> tri = (left == (trans == Trans::No)) ? TriRows<T>{t.data, 1, t.ld}
+                                                 : TriRows<T>{t.data, t.ld, 1};
+  const index_t lanes = left ? b.cols : b.rows;
+  thread_local std::vector<T> packed;
+  if (tri.es != 1 && lanes >= kLanes<T>) {
+    packed.resize(static_cast<std::size_t>(n * n));
+    for (index_t i = 0; i < n; ++i) {
+      const index_t lo = up ? 0 : i, hi = up ? i + 1 : n;
+      for (index_t j = lo; j < hi; ++j)
+        packed[static_cast<std::size_t>(i * n + j)] = *tri.at(i, j);
+    }
+    tri = {packed.data(), n, 1};
+  }
+  if (!left) {
+    for_lane_chunks<T>(b.rows, [&]<index_t W>(index_t r) {
+      subst_lanes<W>(n, tri, up, unit, &b(r, 0), b.ld);
+    });
+    return;
+  }
+  thread_local std::vector<T> tile;
+  for_lane_chunks<T>(b.cols, [&]<index_t W>(index_t c0) {
+    if constexpr (W == 1) {
+      subst_lanes<1>(n, tri, up, unit, &b(0, c0), 1);
+    } else {
+      tile.resize(static_cast<std::size_t>(n * W));
+      T* x = tile.data();
+      for (index_t i = 0; i < n; ++i)
+        for (index_t r = 0; r < W; ++r) x[i * W + r] = b(i, c0 + r);
+      subst_lanes<W>(n, tri, up, unit, x, W);
+      for (index_t r = 0; r < W; ++r)
+        for (index_t i = 0; i < n; ++i) b(i, c0 + r) = x[i * W + r];
+    }
+  });
+}
+
+/// Unblocked lower Cholesky of one diagonal block of the blocked potrf,
+/// column-oriented and left-looking with lanes across the rows of the
+/// column being formed: a(i,j) -= a(i,k)·a(j,k) for k ascending, then
+/// a(j,j) = sqrt and a(i,j) /= a(j,j). Leaves the strict upper triangle
+/// alone. Returns the first column whose pivot is not positive, or -1.
+template <class T>
+index_t potrf_lanes(MatrixViewT<T> a) {
+  const index_t n = a.rows;
+  for (index_t j = 0; j < n; ++j) {
+    if (j > 0) {
+      for_lane_chunks<T>(n - j, [&]<index_t W>(index_t r) {
+        T* y = &a(j + r, j);
+        T acc[W];
+        for (index_t i = 0; i < W; ++i) acc[i] = y[i];
+        lane_sweep<W, true>(j, &a(j, 0), a.ld, &a(j + r, 0), a.ld, acc);
+        for (index_t i = 0; i < W; ++i) y[i] = acc[i];
+      });
+    }
+    const T d = a(j, j);
+    if (!(d > T(0))) return j;
+    const T s = std::sqrt(d);
+    a(j, j) = s;
+    for (index_t i = j + 1; i < n; ++i) a(i, j) /= s;
+  }
+  return -1;
+}
+
+/// Lower triangle of C += alpha·op(A)·op(A)ᵀ for one diagonal block of the
+/// blocked syrk (beta already applied), lanes across the rows i of each
+/// column j: acc = Σ_l op(A)(i,l)·op(A)(j,l) from 0 with l ascending, then
+/// c(i,j) = fmadd(alpha, acc, c(i,j)). Trans::Yes first copies Aᵀ to a
+/// scratch so the lanes read contiguously.
+template <class T>
+void syrk_lower_lanes(T alpha, ConstMatrixViewT<T> a, Trans trans, MatrixViewT<T> c) {
+  const index_t n = c.rows, k = op_cols(a, trans);
+  thread_local std::vector<T> at;
+  if (trans == Trans::Yes) {
+    at.resize(static_cast<std::size_t>(n * k));
+    for (index_t l = 0; l < k; ++l)
+      for (index_t i = 0; i < n; ++i) at[static_cast<std::size_t>(l * n + i)] = a(l, i);
+    a = {at.data(), n, k, n};
+  }
+  for (index_t j = 0; j < n; ++j) {
+    for_lane_chunks<T>(n - j, [&]<index_t W>(index_t r) {
+      T acc[W] = {};
+      lane_sweep<W, false>(k, &a(j, 0), a.ld, &a(j + r, 0), a.ld, acc);
+      T* y = &c(j + r, j);
+      for (index_t i = 0; i < W; ++i) y[i] = fmadd(alpha, acc[i], y[i]);
+    });
+  }
+}
+
 template <class T>
 void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
                   ConstMatrixViewT<T> t, MatrixViewT<T> b) {
@@ -458,8 +710,8 @@ void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
     for (index_t step = 0; step < nblocks; ++step) {
       const index_t bi = forward ? step : nblocks - 1 - step;
       const index_t i0 = bi * nb, ni = std::min(nb, n - i0);
-      trsm_naive<T>(Side::Left, uplo, trans, diag, T(1), t.block(i0, i0, ni, ni),
-                    b.block(i0, 0, ni, b.cols));
+      trsm_diag_lanes<T>(Side::Left, uplo, trans, diag, t.block(i0, i0, ni, ni),
+                         b.block(i0, 0, ni, b.cols));
       for (index_t step2 = step + 1; step2 < nblocks; ++step2) {
         const index_t bj = forward ? step2 : nblocks - 1 - step2;
         const index_t j0 = bj * nb, nj = std::min(nb, n - j0);
@@ -475,8 +727,8 @@ void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
     for (index_t step = 0; step < nblocks; ++step) {
       const index_t bj = forward ? nblocks - 1 - step : step;
       const index_t j0 = bj * nb, nj = std::min(nb, n - j0);
-      trsm_naive<T>(Side::Right, uplo, trans, diag, T(1), t.block(j0, j0, nj, nj),
-                    b.block(0, j0, b.rows, nj));
+      trsm_diag_lanes<T>(Side::Right, uplo, trans, diag, t.block(j0, j0, nj, nj),
+                         b.block(0, j0, b.rows, nj));
       for (index_t step2 = step + 1; step2 < nblocks; ++step2) {
         const index_t bc = forward ? nblocks - 1 - step2 : step2;
         const index_t c0 = bc * nb, ncw = std::min(nb, n - c0);
@@ -484,25 +736,6 @@ void trsm_blocked(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
         gemm_blocked<T>(T(-1), ConstMatrixViewT<T>(b.block(0, j0, b.rows, nj)),
                         Trans::No, tv, tt, T(1), b.block(0, c0, b.rows, ncw));
       }
-    }
-  }
-}
-
-/// Lower-triangle-only unblocked syrk used for the diagonal blocks of the
-/// blocked syrk (beta already applied by the caller).
-template <class T>
-void syrk_lower_unblocked(T alpha, ConstMatrixViewT<T> a, Trans trans,
-                          MatrixViewT<T> c) {
-  const index_t n = c.rows, k = op_cols(a, trans);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = j; i < n; ++i) {
-      T s = T(0);
-      if (trans == Trans::No) {
-        for (index_t l = 0; l < k; ++l) s += a(i, l) * a(j, l);
-      } else {
-        for (index_t l = 0; l < k; ++l) s += a(l, i) * a(l, j);
-      }
-      c(i, j) += alpha * s;
     }
   }
 }
@@ -517,11 +750,11 @@ void syrk_blocked(T alpha, ConstMatrixViewT<T> a, Trans trans, T beta,
     scale_impl(c, beta);
   }
   if (alpha != T(0) && k != 0) {
-    // Lower triangle blockwise: unblocked diagonal tiles, gemm panels below.
+    // Lower triangle blockwise: lane-kernel diagonal tiles, gemm panels below.
     const index_t nb = kTrsmBlock;
     for (index_t j0 = 0; j0 < n; j0 += nb) {
       const index_t nj = std::min(nb, n - j0);
-      syrk_lower_unblocked<T>(
+      syrk_lower_lanes<T>(
           alpha,
           trans == Trans::No ? a.block(j0, 0, nj, k) : a.block(0, j0, k, nj),
           trans, c.block(j0, j0, nj, nj));

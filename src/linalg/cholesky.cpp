@@ -1,6 +1,7 @@
 #include "linalg/cholesky.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/flops.hpp"
 #include "linalg/blas_detail.hpp"
@@ -21,7 +22,8 @@ void potrf_blocked(MatrixViewT<T> a) {
   const index_t n = a.rows;
   for (index_t k = 0; k < n; k += kBlock) {
     const index_t nb = std::min(kBlock, n - k);
-    detail::potrf_unblocked<T>(a.block(k, k, nb, nb));
+    const index_t bad = detail::potrf_lanes<T>(a.block(k, k, nb, nb));
+    if (bad >= 0) throw NotPositiveDefiniteError(k + bad);
     const index_t rest = n - k - nb;
     if (rest == 0) continue;
     MatrixViewT<T> panel = a.block(k + nb, k, rest, nb);
@@ -39,7 +41,23 @@ void potrf_blocked(MatrixViewT<T> a) {
     for (index_t i = 0; i < j; ++i) a(i, j) = T(0);
 }
 
+std::string npd_message(index_t pivot, int level, index_t node) {
+  std::string where;
+  if (level >= 0)
+    where = "HSS-ULV level " + std::to_string(level) + " node " + std::to_string(node) +
+            ": ";
+  return where + "matrix not positive definite (pivot " + std::to_string(pivot) + ")";
+}
+
 }  // namespace
+
+NotPositiveDefiniteError::NotPositiveDefiniteError(index_t pivot, int level,
+                                                   index_t node)
+    : Error(npd_message(pivot, level, node)), pivot_(pivot), level_(level), node_(node) {}
+
+NotPositiveDefiniteError NotPositiveDefiniteError::at(int level, index_t node) const {
+  return NotPositiveDefiniteError(pivot_, level, node);
+}
 
 void potrf(MatrixView a) {
   HATRIX_CHECK(a.rows == a.cols, "potrf requires a square matrix");

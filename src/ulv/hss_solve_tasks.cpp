@@ -26,10 +26,10 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   auto& st = *dag.state;
   st.a = &a;
   st.factor = &factor;
+  st.b = b;
   st.rhs.resize(static_cast<std::size_t>(L) + 1);
   st.fwd.resize(static_cast<std::size_t>(L) + 1);
   st.sol.resize(static_cast<std::size_t>(L) + 1);
-  st.x = Matrix(n, nrhs);
   for (int l = 0; l <= L; ++l) {
     st.rhs[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(a.num_nodes(l)));
     st.fwd[static_cast<std::size_t>(l)].resize(static_cast<std::size_t>(a.num_nodes(l)));
@@ -58,8 +58,8 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
       sol_d[static_cast<std::size_t>(l)].push_back(
           graph.register_data("sol" + tag, bytes));
       if (l == L) {
-        // Leaf RHS panels are seeded from `b` before the graph runs; leaf
-        // solution panels are the rows of the global solution.
+        // Leaf RHS panels are rows of `b`, read in place; leaf solution
+        // panels are the rows of the global solution.
         graph.mark_input(rhs_d[static_cast<std::size_t>(l)].back());
         graph.mark_output(sol_d[static_cast<std::size_t>(l)].back());
       }
@@ -69,25 +69,18 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
   auto stp = dag.state;
 
   if (L == 0) {
-    st.x = Matrix::from_view(b);
-    // The lone panel is preloaded with b and solved in place.
+    // The lone panel is b, copied into the solution and solved in place.
     graph.mark_input(sol_d[0][0]);
     graph.mark_output(sol_d[0][0]);
     graph.insert_task(
         "ROOT_SOLVE", "potrs", {n, nrhs},
         [stp] {
+          stp->x = Matrix::from_view(stp->b);
           if (stp->x.rows() > 0 && stp->x.cols() > 0)
             la::potrs(stp->factor->root_factor().view(), stp->x.view());
         },
         {{sol_d[0][0], rt::Access::ReadWrite}}, 0, 0);
     return dag;
-  }
-
-  // Seed leaf RHS panels.
-  for (index_t i = 0; i < a.num_nodes(L); ++i) {
-    const auto& nd = a.node(L, i);
-    st.rhs[static_cast<std::size_t>(L)][static_cast<std::size_t>(i)] =
-        Matrix::from_view(b.block(nd.begin, 0, nd.block_size(), nrhs));
   }
 
   // Forward sweep + gathers, leaves to root.
@@ -101,11 +94,16 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
       graph.insert_task(
           "FORWARD" + tag, "fwd_solve", {f.m, f.k},
           [stp, li, ii] {
-            auto& lvl_rhs = stp->rhs[static_cast<std::size_t>(li)];
+            const auto& nd = stp->a->node(li, ii);
+            // Leaves read their rows of b; internal nodes their gathered panel.
+            const la::ConstMatrixView rhs =
+                li == stp->a->max_level()
+                    ? stp->b.block(nd.begin, 0, nd.block_size(), stp->b.cols)
+                    : stp->rhs[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)]
+                          .view();
             stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
                 forward_step_panel(stp->factor->factor(li, ii),
-                                   la::F64Block(stp->a->node(li, ii).basis).view(),
-                                   lvl_rhs[static_cast<std::size_t>(ii)].view());
+                                   la::F64Block(nd.basis).view(), rhs);
           },
           {{rhs_d[static_cast<std::size_t>(l)][static_cast<std::size_t>(i)],
             rt::Access::Read},
@@ -125,7 +123,7 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
                 stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(2 * tt)].z_s;
             const Matrix& z1 =
                 stp->fwd[static_cast<std::size_t>(li)][static_cast<std::size_t>(2 * tt + 1)].z_s;
-            Matrix up(z0.rows() + z1.rows(), stp->x.cols());
+            Matrix up(z0.rows() + z1.rows(), stp->b.cols);
             if (z0.rows() > 0)
               la::copy(z0.view(), up.block(0, 0, z0.rows(), up.cols()));
             if (z1.rows() > 0)
@@ -151,6 +149,9 @@ HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
         if (z.rows() > 0 && z.cols() > 0)
           la::potrs(stp->factor->root_factor().view(), z.view());
         stp->sol[0][0] = std::move(z);
+        // Every BACKWARD task runs after this one, so the leaves can write
+        // their rows of the solution from here on.
+        stp->x = Matrix(stp->b.rows, stp->b.cols);
       },
       {{rhs_d[0][0], rt::Access::Read}, {sol_d[0][0], rt::Access::Write}}, 0, L);
 

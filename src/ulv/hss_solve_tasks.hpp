@@ -27,10 +27,11 @@ namespace hatrix::ulv {
 struct HSSSolveTaskState {
   const fmt::HSSMatrix* a = nullptr;
   const HSSULV* factor = nullptr;
-  std::vector<std::vector<Matrix>> rhs;            // [level][node] local B panel
+  la::ConstMatrixView b;                           // the caller's RHS panel
+  std::vector<std::vector<Matrix>> rhs;            // [level][node] gathered B panel
   std::vector<std::vector<NodeForwardPanel>> fwd;  // [level][node]
   std::vector<std::vector<Matrix>> sol;            // [level][node] local X panel
-  Matrix x;                                        // final solution (n x nrhs)
+  Matrix x;  // final solution (n x nrhs), allocated by ROOT_SOLVE
 
   /// Column `j` of the solution panel as a plain vector (convenience for
   /// the single-RHS overload and tests).
@@ -43,12 +44,15 @@ struct HSSSolveDag {
 
 /// Emit the blocked multi-RHS solve DAG for the panel `b` (n x nrhs) into
 /// `graph`; run it with any executor, then read `dag.state->x`. The result
-/// is bit-identical to `factor.solve(b)`.
+/// is bit-identical to `factor.solve(b)`. Emission copies nothing: the leaf
+/// FORWARD tasks read their rows of `b` in place, so `b` (like `factor`)
+/// must stay alive and unchanged until the graph has run.
 HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, la::ConstMatrixView b,
                                rt::TaskGraph& graph);
 
-/// Single-RHS convenience overload: the nrhs = 1 panel DAG. Read the
-/// solution via `dag.state->x_col()`.
+/// Single-RHS convenience overload: the nrhs = 1 panel DAG over `b`'s
+/// storage, which must outlive running the graph. Read the solution via
+/// `dag.state->x_col()`.
 HSSSolveDag emit_hss_solve_dag(const HSSULV& factor, const std::vector<double>& b,
                                rt::TaskGraph& graph);
 

@@ -41,7 +41,8 @@ class HSSULV {
   /// factorization DAG (emit_hss_ulv_dag, ReleaseMode::Free) and runs it in
   /// insertion order on the calling thread (rt::run_in_order), so the result
   /// is bit-identical to running the same DAG on any executor. Throws
-  /// hatrix::Error if a pivot fails (matrix not SPD on the compressed
+  /// la::NotPositiveDefiniteError (a hatrix::Error) naming the tree level,
+  /// node and pivot if a pivot fails (matrix not SPD on the compressed
   /// representation).
   static HSSULV factorize(const fmt::HSSMatrix& a);
 

@@ -32,6 +32,15 @@ Matrix merge_diag(const Matrix& ss0, const Matrix& ss1,
   return d;
 }
 
+/// la::potrf on node (level, node)'s block; a failure names the node.
+void potrf_at(la::MatrixView a, int level, index_t node) {
+  try {
+    la::potrf(a);
+  } catch (const la::NotPositiveDefiniteError& e) {
+    throw e.at(level, node);
+  }
+}
+
 }  // namespace
 
 HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
@@ -161,7 +170,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
         "ROOT_FACTOR", "potrf", {a.size()},
         with_work ? std::function<void()>([stp] {
           stp->root_l = Matrix::from_view(stp->a->node(0, 0).diag.view());
-          la::potrf(stp->root_l.view());
+          potrf_at(stp->root_l.view(), 0, 0);
         })
                   : std::function<void()>(),
         {{dag.root_data, rt::Access::Write}}, /*priority=*/0, /*phase=*/0);
@@ -208,8 +217,12 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
             auto& rot =
                 stp->rotated[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)];
             const index_t k = stp->a->node(li, ii).rank;
-            auto res = partial_factor_rotated(rot.rotated.view(), k,
-                                              std::move(rot.q_comp));
+            PartialFactorResult res;
+            try {
+              res = partial_factor_rotated(rot.rotated.view(), k, std::move(rot.q_comp));
+            } catch (const la::NotPositiveDefiniteError& e) {
+              throw e.at(li, ii);
+            }
             stp->factors[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
                 std::move(res.factor);
             stp->schur[static_cast<std::size_t>(li)][static_cast<std::size_t>(ii)] =
@@ -265,7 +278,7 @@ HSSULVDag emit_hss_ulv_dag(const fmt::HSSMatrix& a, rt::TaskGraph& graph,
         "ROOT_FACTOR", "potrf", {kroot},
         with_work ? std::function<void()>([stp] {
           stp->root_l = std::move(stp->diags[0][0]);
-          la::potrf(stp->root_l.view());
+          potrf_at(stp->root_l.view(), 0, 0);
         })
                   : std::function<void()>(),
         {{dag.diag_data[0][0], rt::Access::Read},

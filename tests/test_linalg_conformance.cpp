@@ -242,7 +242,7 @@ TEST(LinalgConformance, SyrkBothTransBothPrecisions) {
   Rng rng(34);
   for (Backend be : backends_under_test()) {
     BackendGuard guard(be);
-    for (index_t n : {0, 1, 2, 7, 33, 65, 129}) {
+    for (index_t n : {0, 1, 2, 7, 33, 48, 63, 65, 129, 176}) {
       for (index_t k : {0, 1, 5, 40, 67}) {
         for (Trans tr : {Trans::No, Trans::Yes}) {
           const Matrix a = tr == Trans::No ? random_matrix(n, k, rng)
@@ -332,24 +332,30 @@ TEST(LinalgConformance, GemmPanelColumnsMatchOneColumnCallsBitwise) {
 }
 
 TEST(LinalgConformance, TrsmPanelColumnsMatchOneColumnCallsBitwise) {
+  // Panel widths straddle the lane kernels' chunking (4·8, 8, then halving
+  // down to single columns), so every tile width meets the one-column path.
   Rng rng(42);
   for (Backend be : deterministic_backends()) {
     BackendGuard guard(be);
     for (const auto& s : kSolveShapes) {
       for (index_t r : {s.m - s.k, s.k}) {
-        const Matrix t = random_triangular(r, UpLo::Lower, rng);
-        const Matrix b0 = random_matrix(r, kPanel, rng);
-        for (Trans tr : {Trans::No, Trans::Yes}) {
-          Matrix panel = b0.f64_copy();
-          la::trsm(Side::Left, UpLo::Lower, tr, Diag::NonUnit, 1.0, t.view(),
-                   panel.view());
-          for (index_t j = 0; j < kPanel; ++j) {
-            Matrix col = Matrix::from_view(b0.block(0, j, r, 1));
-            la::trsm(Side::Left, UpLo::Lower, tr, Diag::NonUnit, 1.0, t.view(),
-                     col.view());
-            expect_column_bits(panel.view(), j, col.view(),
-                               ctx(be, "trsm n=" + std::to_string(r) + " trans=" +
-                                           std::to_string(tr == Trans::Yes)));
+        for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
+          const Matrix t = random_triangular(r, uplo, rng);
+          for (index_t w : {1, 5, 8, 13, 64}) {
+            const Matrix b0 = random_matrix(r, w, rng);
+            for (Trans tr : {Trans::No, Trans::Yes}) {
+              Matrix panel = b0.f64_copy();
+              la::trsm(Side::Left, uplo, tr, Diag::NonUnit, 1.0, t.view(), panel.view());
+              for (index_t j = 0; j < w; ++j) {
+                Matrix col = Matrix::from_view(b0.block(0, j, r, 1));
+                la::trsm(Side::Left, uplo, tr, Diag::NonUnit, 1.0, t.view(), col.view());
+                expect_column_bits(
+                    panel.view(), j, col.view(),
+                    ctx(be, "trsm n=" + std::to_string(r) + " w=" + std::to_string(w) +
+                                " upper=" + std::to_string(uplo == UpLo::Upper) +
+                                " trans=" + std::to_string(tr == Trans::Yes)));
+              }
+            }
           }
         }
       }
@@ -364,8 +370,8 @@ TEST(LinalgConformance, TrsmAllSixteenCombos) {
   Rng rng(35);
   for (Backend be : backends_under_test()) {
     BackendGuard guard(be);
-    for (index_t n : {0, 1, 3, 17, 64, 65, 129}) {
-      for (index_t w : {0, 1, 5, 40}) {
+    for (index_t n : {0, 1, 3, 17, 48, 64, 65, 129, 176}) {
+      for (index_t w : {0, 1, 5, 7, 8, 9, 40, 64}) {
         for (Side side : {Side::Left, Side::Right}) {
           for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
             const Matrix t = random_triangular(n, uplo, rng);
@@ -398,28 +404,30 @@ TEST(LinalgConformance, TrsmFloatCombos) {
   Rng rng(36);
   for (Backend be : backends_under_test()) {
     BackendGuard guard(be);
-    for (index_t n : {1, 17, 65}) {
+    for (index_t n : {1, 17, 48, 65, 176}) {
       for (Side side : {Side::Left, Side::Right}) {
         for (UpLo uplo : {UpLo::Lower, UpLo::Upper}) {
           const MatrixF t = to_f32(random_triangular(n, uplo, rng));
-          const index_t w = 9;
-          const MatrixF b0 = to_f32(random_matrix(side == Side::Left ? n : w,
-                                                  side == Side::Left ? w : n, rng));
-          for (Trans tr : {Trans::No, Trans::Yes}) {
-            for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
-              MatrixF b_ref(b0.rows(), b0.cols()), b_got(b0.rows(), b0.cols());
-              for (index_t j = 0; j < b0.cols(); ++j)
-                for (index_t i = 0; i < b0.rows(); ++i)
-                  b_ref(i, j) = b_got(i, j) = b0(i, j);
-              la::ref::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_ref.view());
-              la::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_got.view());
-              EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
-                        tolerance(n, max_abs(b_ref.view()), kEps32))
-                  << ctx(be, "trsm f n=" + std::to_string(n))
-                  << " side=" << (side == Side::Right)
-                  << " uplo=" << (uplo == UpLo::Upper)
-                  << " trans=" << (tr == Trans::Yes)
-                  << " diag=" << (dg == Diag::Unit);
+          for (index_t w : {7, 8, 9, 16, 17, 64}) {
+            const MatrixF b0 = to_f32(random_matrix(side == Side::Left ? n : w,
+                                                    side == Side::Left ? w : n, rng));
+            for (Trans tr : {Trans::No, Trans::Yes}) {
+              for (Diag dg : {Diag::NonUnit, Diag::Unit}) {
+                MatrixF b_ref(b0.rows(), b0.cols()), b_got(b0.rows(), b0.cols());
+                for (index_t j = 0; j < b0.cols(); ++j)
+                  for (index_t i = 0; i < b0.rows(); ++i)
+                    b_ref(i, j) = b_got(i, j) = b0(i, j);
+                la::ref::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_ref.view());
+                la::trsm(side, uplo, tr, dg, 1.0F, t.view(), b_got.view());
+                EXPECT_LE(max_diff(b_got.view(), b_ref.view()),
+                          tolerance(n, max_abs(b_ref.view()), kEps32))
+                    << ctx(be, "trsm f n=" + std::to_string(n) + " w=" +
+                                   std::to_string(w))
+                    << " side=" << (side == Side::Right)
+                    << " uplo=" << (uplo == UpLo::Upper)
+                    << " trans=" << (tr == Trans::Yes)
+                    << " diag=" << (dg == Diag::Unit);
+              }
             }
           }
         }
@@ -466,7 +474,7 @@ TEST(LinalgConformance, PotrfAgainstUnblockedReference) {
   Rng rng(38);
   for (Backend be : backends_under_test()) {
     BackendGuard guard(be);
-    for (index_t n : {1, 2, 7, 33, 64, 65, 129, 200}) {
+    for (index_t n : {1, 2, 7, 33, 48, 63, 64, 65, 129, 176, 200}) {
       // SPD by construction: B·Bᵀ + n·I keeps the condition number modest so
       // the two factorizations agree to working accuracy.
       const Matrix b = random_matrix(n, n, rng);
@@ -506,6 +514,29 @@ TEST(LinalgConformance, PotrfThrowsOnIndefinite) {
     a(1, 1) = -1.0;  // negative pivot
     a(2, 2) = 1.0;
     EXPECT_THROW(la::potrf(a.view()), Error) << ctx(be, "potrf indefinite");
+  }
+}
+
+TEST(LinalgConformance, PotrfReportsGlobalPivot) {
+  // Column 80 lies in the second 64-row diagonal block; the error names the
+  // pivot in the whole matrix, not within its block.
+  Rng rng(39);
+  const index_t n = 100;
+  for (Backend be : backends_under_test()) {
+    BackendGuard guard(be);
+    const Matrix b = random_matrix(n, n, rng);
+    Matrix a(n, n);
+    la::ref::gemm(1.0, b.view(), Trans::No, b.view(), Trans::Yes, 0.0, a.view());
+    for (index_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+    a(80, 80) = -1.0;
+    try {
+      la::potrf(a.view());
+      ADD_FAILURE() << ctx(be, "indefinite matrix factorized");
+    } catch (const la::NotPositiveDefiniteError& e) {
+      EXPECT_EQ(e.pivot(), 80) << ctx(be, e.what());
+      EXPECT_EQ(e.level(), -1);
+      EXPECT_NE(std::string(e.what()).find("pivot 80"), std::string::npos) << e.what();
+    }
   }
 }
 

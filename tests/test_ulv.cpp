@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "format/accessor.hpp"
 #include "format/blr2.hpp"
@@ -144,6 +145,28 @@ TEST(HssUlv, RejectsIndefiniteMatrix) {
   fmt::DenseAccessor acc(a.view());
   auto h = fmt::build_hss(acc, {.leaf_size = 64, .max_rank = 64, .tol = 0.0});
   EXPECT_THROW(HSSULV::factorize(h), Error);
+}
+
+TEST(HssUlv, IndefiniteNodeIsNamedInTheError) {
+  // Leaf (3, 5) of an otherwise SPD operator gets a negative definite
+  // diagonal block, so its PARTIAL_FACTOR Cholesky fails at its first pivot.
+  Rng rng(7);
+  auto h = fmt::make_random_spd_hss(512, 64, 16, rng);
+  ASSERT_EQ(h.max_level(), 3);
+  Matrix& d = h.node(3, 5).diag;
+  for (index_t i = 0; i < d.rows(); ++i) d(i, i) -= 1e3;
+  try {
+    (void)HSSULV::factorize(h);
+    FAIL() << "indefinite operator factorized";
+  } catch (const la::NotPositiveDefiniteError& e) {
+    EXPECT_EQ(e.level(), 3);
+    EXPECT_EQ(e.node(), 5);
+    EXPECT_EQ(e.pivot(), 0);
+    EXPECT_NE(std::string(e.what()).find("level 3 node 5"), std::string::npos)
+        << e.what();
+  }
+  // Still a hatrix::Error for callers that catch the base type.
+  EXPECT_THROW((void)HSSULV::factorize(h), Error);
 }
 
 TEST(HssUlv, SolveRejectsWrongLength) {
