@@ -3,7 +3,8 @@
 // CostModel::calibrated() would pick on this host). Self-timed — each case
 // repeats until it has accumulated enough wall time for a stable average —
 // and the results land in BENCH_linalg.json next to the solve-throughput
-// numbers so kernel regressions show up in version control.
+// numbers so kernel regressions show up in version control. The Green's-
+// function kernels are rated too, in nanoseconds per evaluated entry.
 //
 //   ./bench_micro_linalg [--min-time 0.2] [--json BENCH_linalg.json] [--csv]
 #include <cstdio>
@@ -16,6 +17,10 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "format/accessor.hpp"
+#include "geometry/domain.hpp"
+#include "kernels/kernel_matrix.hpp"
+#include "kernels/kernels.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
@@ -32,8 +37,9 @@ struct Case {
   la::index_t n = 0;
   double seconds_per_iter = 0.0;
   std::int64_t iterations = 0;
-  double gflops = 0.0;  ///< 0 when no flop count applies
-  std::string shape;    ///< operand shape when `n` alone does not give it
+  double gflops = 0.0;        ///< 0 when no flop count applies
+  double ns_per_entry = 0.0;  ///< kernel-evaluation rows only
+  std::string shape;          ///< operand shape when `n` alone does not give it
 };
 
 /// Run `body` repeatedly until `min_time` seconds have accumulated (at least
@@ -212,6 +218,27 @@ int main(int argc, char** argv) {
     cases.back().shape = "512x256 k=80";
   }
 
+  // Kernel evaluation at the builder's gather shape: a 256-row leaf against
+  // a 512-column far-field sample, over scattered sites (the kriging
+  // geometry), through the same KernelAccessor::gather the builder calls.
+  for (const char* kname : {"yukawa", "matern"}) {
+    const la::index_t rows = 256, cols = 512;
+    Rng rng(14);
+    const geom::Domain d = geom::random2d(2048, rng);
+    const auto kernel = kernels::make_kernel(kname);
+    const kernels::KernelMatrix km(*kernel, d.points);
+    const fmt::KernelAccessor acc(km);
+    std::vector<la::index_t> ri(static_cast<std::size_t>(rows));
+    std::vector<la::index_t> ci(static_cast<std::size_t>(cols));
+    for (la::index_t i = 0; i < rows; ++i) ri[static_cast<std::size_t>(i)] = i;
+    for (la::index_t j = 0; j < cols; ++j) ci[static_cast<std::size_t>(j)] = rows + 3 * j;
+    cases.push_back(timed(std::string("kernel_") + kname, rows, 0.0, min_time,
+                          [&] { Matrix f = acc.gather(ri, ci); }));
+    cases.back().ns_per_entry =
+        cases.back().seconds_per_iter / static_cast<double>(rows * cols) * 1e9;
+    cases.back().shape = "256x512 gather";
+  }
+
   for (la::index_t n : {32, 64, 128}) {
     Rng rng(5);
     Matrix a = Matrix::random_normal(rng, n, n);
@@ -228,19 +255,21 @@ int main(int argc, char** argv) {
     }));
   }
 
-  TextTable table({"kernel", "n", "us/iter", "iters", "GFLOP/s"});
+  TextTable table({"kernel", "n", "us/iter", "iters", "GFLOP/s", "ns/entry"});
   BenchJson json("micro_linalg");
   for (const auto& c : cases) {
     table.add_row({c.name, std::to_string(c.n),
                    fmt_fixed(c.seconds_per_iter * 1e6, 1),
                    std::to_string(c.iterations),
-                   c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-"});
+                   c.gflops > 0.0 ? fmt_fixed(c.gflops, 2) : "-",
+                   c.ns_per_entry > 0.0 ? fmt_fixed(c.ns_per_entry, 2) : "-"});
     auto& row = json.row()
                     .add("kernel", c.name)
                     .add("n", static_cast<std::int64_t>(c.n))
                     .add("seconds_per_iter", c.seconds_per_iter)
                     .add("iterations", c.iterations)
                     .add("gflops", c.gflops);
+    if (c.ns_per_entry > 0.0) row.add("ns_per_entry", c.ns_per_entry);
     if (!c.shape.empty()) row.add("shape", c.shape);
   }
   std::printf("%s\n", csv ? table.to_csv().c_str() : table.to_string().c_str());

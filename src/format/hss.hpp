@@ -82,7 +82,10 @@ struct HSSOptions {
   /// guard_tol. Each escalation doubles the node's rank cap (bounded by the
   /// node's block row count), emits a one-line stderr diagnostic, and is
   /// counted in HSSBuildReport::rank_escapes. Only active when the guard is
-  /// on (guard_tol > 0).
+  /// on (guard_tol > 0). Escalation on a sample that has reached the full
+  /// complement costs one ID however many doublings it counts (the truncated
+  /// pivoted QR is prefix-consistent), and with tol = 0 a cap at or above
+  /// the node's row count is the identity ID, which runs no QR.
   bool rank_escape = true;
   /// Storage precision of the built matrix's low-rank data. Construction
   /// itself always runs in FP64 (so every executor produces bit-identical

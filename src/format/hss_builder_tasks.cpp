@@ -26,8 +26,21 @@ struct RowId {
   index_t rank = 0;
 };
 
+/// Rank-`max_rank` (or `tol`-relative) row ID by column-pivoted QR of Fᵀ.
+/// A full-rank request — `tol == 0`, `max_rank >= F.rows` and at least as
+/// many columns as rows — keeps every row, so the ID is the identity
+/// (sel = 0..m-1, X = I) and no QR is run; the pivoted route would return
+/// the same rows in pivot order with X a permutation. Rows that are exactly
+/// dependent keep full rank here, which is still an exact ID.
 RowId row_id(la::ConstMatrixView f, index_t max_rank, double tol) {
   RowId out;
+  if (tol == 0.0 && max_rank >= f.rows && f.cols >= f.rows) {
+    out.rank = f.rows;
+    out.x = Matrix::identity(f.rows);
+    out.sel.resize(static_cast<std::size_t>(f.rows));
+    for (index_t i = 0; i < f.rows; ++i) out.sel[static_cast<std::size_t>(i)] = i;
+    return out;
+  }
   Matrix ft = la::transpose(f);
   const double abs_tol = tol > 0.0 ? tol * la::norm_fro(ft.view()) : 0.0;
   auto pq = la::pivoted_qr(ft.view(), max_rank, abs_tol);
@@ -199,20 +212,22 @@ Guarded guarded_row_id(const BlockAccessor& acc, const std::vector<index_t>& row
   Matrix f = acc.gather(rows, sampler.draw_random(std::min(opts.sample_cols, cap)));
 
   for (;;) {
-    out.id = row_id(f.view(), rank_cap, opts.tol);
+    // Once the sample reaches the full complement, coverage is exact and any
+    // residual left over is pure rank truncation. If the guard was still
+    // failing, the cap doubles until the ID is no longer pinned at it (the
+    // escape ladder). `pivoted_qr` is prefix-consistent — a lower cap runs
+    // the same first steps — so the ladder ends at the ID at the block row
+    // count: that one ID is computed, and the ladder's rungs only counted.
+    const bool ladder =
+        escape && sampler.exhausted() && prev_residual > opts.guard_tol;
+    out.id = row_id(f.view(), ladder ? rank_limit : rank_cap, opts.tol);
     out.samples = f.cols();
     if (!guarded) return out;
     if (sampler.exhausted()) {
-      // The sample reached the full complement, so coverage is exact and any
-      // residual left over is pure rank truncation. If the ID is pinned at
-      // the cap while the guard was still failing, raise the cap until the
-      // truncation is no longer the binding constraint.
-      while (escape && out.id.rank >= rank_cap && rank_cap < rank_limit &&
-             prev_residual > opts.guard_tol) {
+      while (ladder && out.id.rank >= rank_cap && rank_cap < rank_limit) {
         rank_cap = std::min(rank_limit, 2 * rank_cap);
         ++out.rank_escapes;
         rank_escape_note(level, node, rank_cap, prev_residual, opts.guard_tol);
-        out.id = row_id(f.view(), rank_cap, opts.tol);
       }
       out.residual = 0.0;
       return out;

@@ -222,23 +222,36 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
     for (auto& t : pool) t.join();
   };
 
+  // One pass of each side solves every panel. Passes repeat until each side
+  // has run min_seconds and report their mean; the oracle's passes alternate
+  // with the blocked ones, so host drift during the run hits both alike.
   std::vector<la::Matrix> blocked(static_cast<std::size_t>(num_panels));
-  timer.reset();
-  run_clients([&](const la::Matrix& panel, la::index_t p) {
-    blocked[static_cast<std::size_t>(p)] = f.solve(panel);
-  });
-  out.blocked_seconds = timer.seconds();
+  std::vector<la::Matrix> oracle(static_cast<std::size_t>(num_panels));
+  double blocked_total = 0.0, oracle_total = 0.0;
+  std::int64_t passes = 0;
+  do {
+    timer.reset();
+    run_clients([&](const la::Matrix& panel, la::index_t p) {
+      blocked[static_cast<std::size_t>(p)] = f.solve(panel);
+    });
+    blocked_total += timer.seconds();
+    if (cfg.compare_oracle) {
+      timer.reset();
+      run_clients([&](const la::Matrix& panel, la::index_t p) {
+        oracle[static_cast<std::size_t>(p)] = f.solve_columnwise(panel);
+      });
+      oracle_total += timer.seconds();
+    }
+    ++passes;
+  } while (blocked_total < cfg.min_seconds ||
+           (cfg.compare_oracle && oracle_total < cfg.min_seconds));
+  out.blocked_seconds = blocked_total / static_cast<double>(passes);
   out.solves_per_second =
       out.blocked_seconds > 0.0 ? static_cast<double>(ncols) / out.blocked_seconds
                                 : 0.0;
 
   if (cfg.compare_oracle) {
-    std::vector<la::Matrix> oracle(static_cast<std::size_t>(num_panels));
-    timer.reset();
-    run_clients([&](const la::Matrix& panel, la::index_t p) {
-      oracle[static_cast<std::size_t>(p)] = f.solve_columnwise(panel);
-    });
-    out.oracle_seconds = timer.seconds();
+    out.oracle_seconds = oracle_total / static_cast<double>(passes);
     out.speedup_vs_oracle =
         out.blocked_seconds > 0.0 ? out.oracle_seconds / out.blocked_seconds : 0.0;
     for (la::index_t p = 0; p < num_panels; ++p) {

@@ -115,14 +115,19 @@ struct SolveThroughputExperiment {
   int clients = 1;                 ///< concurrent solver threads
   la::index_t solves = 64;         ///< total RHS columns solved (all clients)
   bool compare_oracle = true;      ///< also time the column-loop oracle
+  /// Each timed side repeats the whole workload (one pass) until this much
+  /// wall time has accumulated, at least once, and reports the mean per
+  /// pass; oracle passes alternate with blocked ones. A single batch-1 pass
+  /// at the defaults is too short to time once.
+  double min_seconds = 0.3;
 };
 
 /// Observables of one solve-throughput run.
 struct SolveThroughputOutcome {
   double build_seconds = 0.0;      ///< HSS construction wall time
   double factor_seconds = 0.0;     ///< ULV factorization wall time
-  double blocked_seconds = 0.0;    ///< wall time of all solves, blocked path
-  double oracle_seconds = 0.0;     ///< wall time, column-loop oracle (0: skipped)
+  double blocked_seconds = 0.0;    ///< mean wall time of one pass, blocked path
+  double oracle_seconds = 0.0;     ///< same, column-loop oracle (0: skipped)
   double solves_per_second = 0.0;  ///< solved columns / blocked wall time
   double speedup_vs_oracle = 0.0;  ///< oracle_seconds / blocked_seconds (0: skipped)
   double max_col_diff = 0.0;       ///< max |blocked - oracle| (bit-identity: 0)

@@ -16,15 +16,20 @@ double Yukawa::operator()(const geom::Point& x, const geom::Point& y) const {
   return std::exp(-alpha_ * r) / r;
 }
 
+Matern::Matern(double sigma, double mu, double rho)
+    : sigma_(sigma),
+      mu_(mu),
+      rho_(rho),
+      scale_(sigma * sigma / (std::pow(2.0, rho - 1.0) * std::tgamma(rho))) {}
+
 double Matern::operator()(const geom::Point& x, const geom::Point& y) const {
   const double r = geom::dist(x, y);
   if (r == 0.0) return sigma_ * sigma_;
   const double z = r / mu_;
-  const double scale =
-      sigma_ * sigma_ / (std::pow(2.0, rho_ - 1.0) * std::tgamma(rho_));
+  if (rho_ == 0.5) return sigma_ * sigma_ * std::exp(-z);
   const double k = bessel_k(rho_, z);
   if (k == 0.0) return 0.0;  // underflow at long range
-  return scale * std::pow(z, rho_) * k;
+  return scale_ * std::pow(z, rho_) * k;
 }
 
 double Gaussian::operator()(const geom::Point& x, const geom::Point& y) const {

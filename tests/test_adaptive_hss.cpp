@@ -179,6 +179,13 @@ TEST(GuardedBuild, RankEscapeLiftsRankPastCapWhenFloorBinds) {
 
   EXPECT_GT(rep.rank_escapes, 0);
   EXPECT_GT(h.max_rank_used(), opts.max_rank);
+  // The guard's decisions, recorded from the build that re-ran the row ID at
+  // every rung of the escape ladder: computing only the last rung must not
+  // change any of them.
+  EXPECT_EQ(rep.rank_escapes, 39);
+  EXPECT_EQ(rep.total_growths, 28);
+  EXPECT_EQ(rep.max_samples, 1120);
+  EXPECT_EQ(h.max_rank_used(), 240);
   // The escaped build must actually deliver guard-level accuracy.
   Matrix a = p.km->dense();
   EXPECT_LT(la::rel_error(a.view(), h.dense().view()), 1e-3);
@@ -186,6 +193,28 @@ TEST(GuardedBuild, RankEscapeLiftsRankPastCapWhenFloorBinds) {
   fmt::HSSOptions no_escape = opts;
   no_escape.rank_escape = false;
   EXPECT_THROW(fmt::build_hss(acc, no_escape), fmt::BasisUnderResolvedError);
+}
+
+TEST(ExactBuild, FullRankCapGivesIdentityBasesAndExactMatrix) {
+  // Exact construction (no sampling) with a rank cap at or above every
+  // node's row count: each row ID keeps all rows, so it is the identity and
+  // the HSS matrix reproduces the dense operator to rounding.
+  Problem p(512, 64, "yukawa");
+  fmt::KernelAccessor acc(*p.km);
+  const fmt::HSSOptions opts{.leaf_size = 64, .max_rank = 256, .sample_cols = 0};
+  fmt::HSSMatrix h = fmt::build_hss(acc, opts);
+
+  const int leaf = h.max_level();
+  for (index_t i = 0; i < h.num_nodes(leaf); ++i) {
+    const auto& nd = h.node(leaf, i);
+    ASSERT_EQ(nd.rank, nd.block_size());
+    const Matrix eye = Matrix::identity(nd.block_size());
+    for (index_t c = 0; c < nd.rank; ++c)
+      for (index_t r = 0; r < nd.block_size(); ++r)
+        ASSERT_EQ(nd.basis(r, c), eye(r, c)) << "leaf " << i;
+  }
+  Matrix a = p.km->dense();
+  EXPECT_LE(la::rel_error(a.view(), h.dense().view()), 1e-12);
 }
 
 TEST(BuildDag, StructureMatchesTree) {

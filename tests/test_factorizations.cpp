@@ -116,6 +116,46 @@ TEST(PivotedQr, DecreasingDiagonalOfR) {
     EXPECT_LE(std::abs(f.r(i, i)), std::abs(f.r(i - 1, i - 1)) + 1e-12);
 }
 
+// The HSS builder's rank-escape ladder computes only the ID at the largest
+// cap and counts the lower rungs; that is exact only because a lower cap
+// runs the same first steps. At caps k1 < k2 the first k1 pivots, reflectors
+// and rows of R must match bit for bit. Later pivots only reorder the
+// trailing columns of R, so its rows are compared per original column.
+TEST(PivotedQr, TruncationIsAPrefixBitwise) {
+  Rng rng(28);
+  const Matrix random = Matrix::random_normal(rng, 512, 256);
+  const Matrix u = Matrix::random_normal(rng, 96, 12);
+  const Matrix v = Matrix::random_normal(rng, 40, 12);
+  const Matrix deficient = matmul(u.view(), v.view(), Trans::No, Trans::Yes);
+  struct Case {
+    const Matrix* a;
+    index_t k1, k2;
+  };
+  for (const Case& c : {Case{&random, 40, 80}, Case{&random, 80, 256},
+                        Case{&deficient, 6, 12}, Case{&deficient, 12, 40}}) {
+    const auto f1 = pivoted_qr(c.a->view(), c.k1, 0.0);
+    const auto f2 = pivoted_qr(c.a->view(), c.k2, 0.0);
+    ASSERT_EQ(f1.rank, c.k1);
+    ASSERT_EQ(f2.rank, c.k2);
+    const index_t n = c.a->cols();
+    std::vector<index_t> pos2(static_cast<std::size_t>(n));
+    for (index_t j = 0; j < n; ++j)
+      pos2[static_cast<std::size_t>(f2.perm[static_cast<std::size_t>(j)])] = j;
+    for (index_t i = 0; i < c.k1; ++i) {
+      const auto si = static_cast<std::size_t>(i);
+      EXPECT_EQ(f1.perm[si], f2.perm[si]);
+      EXPECT_EQ(f1.tau[si], f2.tau[si]);
+      for (index_t r = 0; r < c.a->rows(); ++r)
+        EXPECT_EQ(f1.packed(r, i), f2.packed(r, i)) << "packed(" << r << "," << i << ")";
+      for (index_t j = 0; j < n; ++j) {
+        const index_t j2 =
+            pos2[static_cast<std::size_t>(f1.perm[static_cast<std::size_t>(j)])];
+        EXPECT_EQ(f1.r(i, j), f2.r(i, j2)) << "r(" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
 TEST(PivotedQr, ZeroMatrixHasRankZero) {
   Matrix a(10, 10);
   auto f = pivoted_qr(a.view(), 10, 1e-14);

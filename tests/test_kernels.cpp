@@ -103,6 +103,41 @@ TEST(Kernels, MaternLongRangeUnderflowsToZero) {
   EXPECT_EQ(k(a, b), 0.0);
 }
 
+// The general Matérn formula evaluated per entry, normalizing constant and
+// all, exactly as the kernel computed every order before rho = 1/2 got its
+// closed form.
+double matern_bessel_route(double sigma, double mu, double rho, double r) {
+  if (r == 0.0) return sigma * sigma;
+  const double z = r / mu;
+  const double scale = sigma * sigma / (std::pow(2.0, rho - 1.0) * std::tgamma(rho));
+  const double k = bessel_k(rho, z);
+  if (k == 0.0) return 0.0;
+  return scale * std::pow(z, rho) * k;
+}
+
+TEST(Kernels, MaternHalfClosedFormMatchesBesselRoute) {
+  const double sigma = 1.3, mu = 0.03;
+  Matern k(sigma, mu, 0.5);
+  Point a{{0, 0, 0}};
+  for (double r = 1e-4; r <= 0.6; r *= 1.1) {
+    const double expect = matern_bessel_route(sigma, mu, 0.5, r);
+    EXPECT_NEAR(k(a, Point{{r, 0, 0}}), expect, 1e-13 * expect) << "r = " << r;
+  }
+}
+
+TEST(Kernels, MaternOtherOrdersKeepTheirArithmetic) {
+  Rng rng(33);
+  for (double rho : {0.7, 1.0}) {
+    Matern k(1.0, 0.03, rho);
+    for (int t = 0; t < 50; ++t) {
+      Point a{{rng.uniform(), rng.uniform(), 0}};
+      Point b{{rng.uniform(), rng.uniform(), 0}};
+      EXPECT_EQ(k(a, b), matern_bessel_route(1.0, 0.03, rho, geom::dist(a, b)))
+          << "rho = " << rho;
+    }
+  }
+}
+
 TEST(Kernels, AllSymmetric) {
   Rng rng(31);
   std::vector<std::unique_ptr<Kernel>> ks;
