@@ -5,14 +5,14 @@
 // batch widens; the column-loop oracle (the pre-blocked code path) is timed
 // on the same workload to report the speedup, and its output is compared
 // entry-for-entry (the blocked path is bit-identical by construction).
-// Each side repeats its workload until --min-time seconds have accumulated
-// and reports the mean seconds per pass; blocked and oracle passes
-// alternate, so host drift hits both sides alike.
+// Each side repeats its workload until 0.3 s have accumulated and reports
+// the mean seconds per pass; blocked and oracle passes alternate, so host
+// drift hits both sides alike.
 //
 //   ./bench_solve_throughput [--n 2048] [--leaf 256] [--rank 60]
 //                            [--kernel yukawa] [--samples 256]
 //                            [--guard-tol 1e-4] [--solves 64]
-//                            [--max-clients 4] [--min-time 0.3]
+//                            [--max-clients 4]
 //                            [--json BENCH_solve.json] [--csv]
 #include <cstdio>
 #include <string>
@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   cfg.sample_cols = cli.get_int("samples", 256);
   cfg.guard_tol = cli.get_double("guard-tol", 1e-4);
   cfg.solves = cli.get_int("solves", 64);
-  cfg.min_seconds = cli.get_double("min-time", 0.3);
   const int max_clients = static_cast<int>(cli.get_int("max-clients", 4));
   const std::string json_path = cli.get_string("json", "BENCH_solve.json");
   const bool csv = cli.has("csv");

@@ -222,9 +222,11 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
     for (auto& t : pool) t.join();
   };
 
-  // One pass of each side solves every panel. Passes repeat until each side
-  // has run min_seconds and report their mean; the oracle's passes alternate
-  // with the blocked ones, so host drift during the run hits both alike.
+  // One pass of each side solves every panel. A batch-1 pass at the bench's
+  // defaults (~40 ms) is too short to time once, so passes repeat until each
+  // side has run kMinSeconds and report their mean; the oracle's passes
+  // alternate with the blocked ones, so host drift hits both alike.
+  constexpr double kMinSeconds = 0.3;
   std::vector<la::Matrix> blocked(static_cast<std::size_t>(num_panels));
   std::vector<la::Matrix> oracle(static_cast<std::size_t>(num_panels));
   double blocked_total = 0.0, oracle_total = 0.0;
@@ -243,8 +245,8 @@ SolveThroughputOutcome run_solve_throughput(const SolveThroughputExperiment& cfg
       oracle_total += timer.seconds();
     }
     ++passes;
-  } while (blocked_total < cfg.min_seconds ||
-           (cfg.compare_oracle && oracle_total < cfg.min_seconds));
+  } while (blocked_total < kMinSeconds ||
+           (cfg.compare_oracle && oracle_total < kMinSeconds));
   out.blocked_seconds = blocked_total / static_cast<double>(passes);
   out.solves_per_second =
       out.blocked_seconds > 0.0 ? static_cast<double>(ncols) / out.blocked_seconds

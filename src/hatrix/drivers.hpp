@@ -115,11 +115,6 @@ struct SolveThroughputExperiment {
   int clients = 1;                 ///< concurrent solver threads
   la::index_t solves = 64;         ///< total RHS columns solved (all clients)
   bool compare_oracle = true;      ///< also time the column-loop oracle
-  /// Each timed side repeats the whole workload (one pass) until this much
-  /// wall time has accumulated, at least once, and reports the mean per
-  /// pass; oracle passes alternate with blocked ones. A single batch-1 pass
-  /// at the defaults is too short to time once.
-  double min_seconds = 0.3;
 };
 
 /// Observables of one solve-throughput run.
